@@ -39,10 +39,10 @@ Design
 * **Scheduler tiers.**  ``static`` never migrates and ``cfs`` only acts
   when some physical core idles while another is SMT-crowded, so for
   non-observed lanes under those policies the batch skips building
-  counter samples entirely and evaluates a vectorised gate instead (the
-  dominant win: sample construction is most of the scalar profile).
-  Every other policy gets exact per-lane counters and a real
-  ``decide``/``apply`` call — scalar-identical by construction.
+  counters entirely and evaluates a vectorised gate instead.  Every
+  other policy gets exact per-lane counters — built by the scalar
+  engine's own ``_quantum_counters`` over the lane's slice — and a real
+  ``decide``/``apply`` call, scalar-identical by construction.
 
 Lanes must share the machine model (topology, memory constants, SMT
 efficiency, warm-up miss scale) and must not use an LLC model; see
@@ -61,7 +61,7 @@ import numpy as np
 from repro.obs.events import QuantumEnd, QuantumStart
 from repro.schedulers.cfs import CFSScheduler
 from repro.schedulers.static import StaticScheduler
-from repro.sim.counters import QuantumCounters, ThreadSample
+from repro.sim.counters import QuantumCounters
 from repro.sim.engine import SimulationEngine
 from repro.sim.memory import allocate_bandwidth, waterfill
 from repro.sim.results import RunResult
@@ -359,7 +359,7 @@ class BatchEngine:
             isinstance(eng.scheduler, StaticScheduler) for eng in lanes
         ]
         cfs_lane = [isinstance(eng.scheduler, CFSScheduler) for eng in lanes]
-        # Counter samples are only built where something consumes them:
+        # Counters are only built where something consumes them:
         # a policy that reads them, a trace recorder, or an event sink.
         needs_counters = [
             obs or not (stat or cfs)
@@ -424,7 +424,10 @@ class BatchEngine:
             qarr = np.array(qlen_lane)
             tarr = np.array([eng.time_s for eng in lanes])
 
-            vcore_of = api = work = eff_time = access_rate = None
+            # Empty when no lane has a runnable thread; every lane's
+            # counter slice is then empty too.
+            vcore_of = fl
+            api = work = eff_time = access_rate = np.zeros(0)
             if nfl:
                 qlen_el = qarr[run_of]
                 vcore_of = st.vcore[fl]
@@ -511,67 +514,20 @@ class BatchEngine:
                 eng = lanes[r]
                 q = qlen_lane[r]
                 l, h = int(bounds[r]), int(bounds[r + 1])
-                cnt = h - l
                 if needs_counters[r]:
-                    samples: list[ThreadSample] = []
-                    core_bw = np.zeros(n_vcores, dtype=np.float64)
-                    if cnt:
-                        vco = vcore_of[l:h]
-                        core_bw = np.bincount(
-                            vco,
-                            weights=access_rate[l:h],
-                            minlength=n_vcores,
-                        )
-                        if eng.counter_noise > 0.0:
-                            noise = np.clip(
-                                eng._noise_rng.normal(
-                                    1.0, eng.counter_noise, size=cnt
-                                ),
-                                0.5,
-                                1.5,
-                            )
-                        else:
-                            noise = np.ones(cnt)
-                        wk = work[l:h]
-                        eff = eff_time[l:h]
-                        llc_accesses = api[l:h] * wk
-                        llc_misses = access_rate[l:h] * eff * noise
-                        lidx = fl[l:h] - int(offs[r])
-                        cache_mb = eng.state.cache_share[lidx]
-                        for i, tid in enumerate(lidx.tolist()):
-                            samples.append(
-                                ThreadSample(
-                                    tid=tid,
-                                    vcore=int(vco[i]),
-                                    instructions=float(wk[i]),
-                                    llc_accesses=float(llc_accesses[i]),
-                                    llc_misses=float(llc_misses[i]),
-                                    runtime_s=float(eff[i]) if eff[i] > 0 else q,
-                                    cache_mb=float(cache_mb[i]),
-                                )
-                            )
-                    for tid in eng.state.idle_indices().tolist():
-                        samples.append(
-                            ThreadSample(
-                                tid=tid,
-                                vcore=int(eng.state.vcore[tid]),
-                                instructions=0.0,
-                                llc_accesses=0.0,
-                                llc_misses=0.0,
-                                runtime_s=q,
-                            )
-                        )
+                    sl = slice(l, h)
+                    counters_by_lane[r] = eng._quantum_counters(
+                        q,
+                        fl[sl] - int(offs[r]),
+                        vcore_of[sl],
+                        work[sl],
+                        eff_time[sl],
+                        access_rate[sl],
+                        api[sl],
+                    )
                 eng.state.tick_suspensions()
                 eng.time_s += q
                 eng._drain_completed()
-                if needs_counters[r]:
-                    counters_by_lane[r] = QuantumCounters(
-                        quantum_index=eng.quantum_index,
-                        time_s=eng.time_s,
-                        quantum_length_s=q,
-                        samples=tuple(samples),
-                        core_bandwidth=core_bw,
-                    )
                 if observing[r]:
                     counters = counters_by_lane[r]
                     live_idx = live_snapshots[r]

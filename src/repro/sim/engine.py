@@ -53,7 +53,7 @@ from repro.schedulers.base import (
     Swap,
     ThreadInfo,
 )
-from repro.sim.counters import QuantumCounters, ThreadSample
+from repro.sim.counters import QuantumCounters
 from repro.sim.llc import LLCModel, make_llc
 from repro.sim.memory import MemoryModelConfig, MemorySystem
 from repro.sim.migration import MigrationModel
@@ -383,9 +383,6 @@ class SimulationEngine:
         observing = self.trace.record_timeseries or self.bus.enabled
         live_idx = st.live_indices() if observing else None
 
-        samples: list[ThreadSample] = []
-        core_bw = np.zeros(self.topology.n_vcores, dtype=np.float64)
-
         if idx.size:
             vcore_of = st.vcore[idx]
             cpi = st.cpi[idx]
@@ -469,64 +466,18 @@ class SimulationEngine:
             st.advance(idx, work, now)
             st.consume_quantum(idx, work)
             st.refresh_segments(idx)
-
-            core_bw = np.bincount(
-                vcore_of, weights=access_rate, minlength=self.topology.n_vcores
-            )
-            if self.counter_noise > 0.0:
-                noise = np.clip(
-                    self._noise_rng.normal(
-                        1.0, self.counter_noise, size=idx.size
-                    ),
-                    0.5,
-                    1.5,
-                )
-            else:
-                noise = np.ones(idx.size)
-            llc_accesses = api * work
-            llc_misses = access_rate * eff_time * noise
-            cache_mb = st.cache_share[idx]
-            for i, tid in enumerate(idx.tolist()):
-                samples.append(
-                    ThreadSample(
-                        tid=tid,
-                        vcore=int(vcore_of[i]),
-                        instructions=float(work[i]),
-                        llc_accesses=float(llc_accesses[i]),
-                        llc_misses=float(llc_misses[i]),
-                        runtime_s=float(eff_time[i]) if eff_time[i] > 0 else qlen,
-                        cache_mb=float(cache_mb[i]),
-                    )
-                )
-
-        # Barrier-waiting and suspended threads appear in the sample with
-        # zero activity — a real perf window would show them idle, and
-        # schedulers must cope.
-        idle = st.idle_indices()
-        for tid in idle.tolist():
-            samples.append(
-                ThreadSample(
-                    tid=tid,
-                    vcore=int(st.vcore[tid]),
-                    instructions=0.0,
-                    llc_accesses=0.0,
-                    llc_misses=0.0,
-                    runtime_s=qlen,
-                )
-            )
+        else:
+            vcore_of = idx
+            work = eff_time = access_rate = api = np.zeros(0)
+        counters = self._quantum_counters(
+            qlen, idx, vcore_of, work, eff_time, access_rate, api
+        )
 
         # Tick down suspensions at the quantum boundary.
         st.tick_suspensions()
 
         self.time_s += qlen
         self._drain_completed()
-        counters = QuantumCounters(
-            quantum_index=self.quantum_index,
-            time_s=self.time_s,
-            quantum_length_s=qlen,
-            samples=tuple(samples),
-            core_bandwidth=core_bw,
-        )
         # Zero-observer fast path: with no trace recording and no event
         # sinks, skip materialising the per-quantum dictionaries entirely.
         if observing:
@@ -553,6 +504,56 @@ class SimulationEngine:
                 )
         self.quantum_index += 1
         return counters
+
+    def _quantum_counters(
+        self,
+        qlen: float,
+        idx: np.ndarray,
+        vcore_of: np.ndarray,
+        work: np.ndarray,
+        eff_time: np.ndarray,
+        access_rate: np.ndarray,
+        api: np.ndarray,
+    ) -> QuantumCounters:
+        """The scheduler's counter window for the quantum just simulated.
+
+        One row per runnable thread ``idx`` (the other arrays are aligned
+        with it), its misses scaled by this engine's measurement noise;
+        then one zero row per barrier-waiting or suspended thread — a real
+        perf window shows them idle, and schedulers must cope.  A thread
+        that hit a barrier this quantum gets both rows.  Called after
+        progress is applied and before suspensions tick, by the scalar and
+        the batched engine alike.
+        """
+        st = self.state
+        if self.counter_noise > 0.0 and idx.size:
+            noise = np.clip(
+                self._noise_rng.normal(1.0, self.counter_noise, size=idx.size),
+                0.5,
+                1.5,
+            )
+        else:
+            noise = np.ones(idx.size)
+        core_bw = np.bincount(
+            vcore_of, weights=access_rate, minlength=self.topology.n_vcores
+        ).astype(np.float64, copy=False)  # an empty bincount is int64
+        idle = st.idle_indices()
+        zeros = np.zeros(idle.size)
+        return QuantumCounters.from_columns(
+            self.quantum_index,
+            self.time_s + qlen,
+            qlen,
+            core_bw,
+            tid=np.concatenate((idx, idle)),
+            vcore=np.concatenate((vcore_of, st.vcore[idle])),
+            instructions=np.concatenate((work, zeros)),
+            llc_accesses=np.concatenate((api * work, zeros)),
+            llc_misses=np.concatenate((access_rate * eff_time * noise, zeros)),
+            runtime_s=np.concatenate(
+                (np.where(eff_time > 0, eff_time, qlen), np.full(idle.size, qlen))
+            ),
+            cache_mb=np.concatenate((st.cache_share[idx], zeros)),
+        )
 
     # --------------------------------------------------------------- actions
 

@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.config import DikeConfig
+from repro.core.observer import Observer
 from repro.platform.iface import CounterWindow
 from repro.platform.linux import (
     LinuxAffinityBackend,
@@ -84,6 +86,27 @@ class TestSimBackend:
     def test_caps(self):
         caps = sim_caps()
         assert caps.perf_counters and caps.affinity_control
+
+
+class TestObserverOnDaemonCounters:
+    def test_unreadable_affinity_vcore_probes_nothing(self):
+        # SchedulingDaemon._to_counters reports vcore=-1 for a thread whose
+        # affinity read failed.  Its memory-intensive readings must not
+        # update CoreBW of any core (-1 once indexed the last vcore).
+        counters = QuantumCounters(
+            quantum_index=0, time_s=0.5, quantum_length_s=0.5,
+            samples=(
+                ThreadSample(1, -1, 1e8, 1e7, 5e6, 0.5),  # M, core unknown
+                ThreadSample(2, 0, 1e8, 1e7, 4e6, 0.5),   # M on vcore 0
+            ),
+            core_bandwidth=np.array([8e6, 0.0, 0.0, 3e6]),
+        )
+        report = Observer(DikeConfig(), n_vcores=4).update(counters)
+        assert report.classification == {1: "M", 2: "M"}
+        assert report.core_bw[0] == 8e6
+        # vcore 3 stays unprobed: it reads the optimistic best probe
+        assert report.core_bw[3] == 8e6
+        assert report.high_bw_cores == frozenset()
 
 
 class TestProcStatParsing:

@@ -5,7 +5,9 @@ must produce bit-identical results and an identical event trace, run to
 run and commit to commit.  This module pins that down against *checked-in*
 goldens (``tests/golden/``): a canonical fingerprint of each policy's
 ``RunResult`` plus the full JSONL event trace, for CFS, DIO and Dike on a
-tiny two-app workload.
+tiny two-app workload — and result fingerprints of flat and hierarchical
+Dike on the 128-vcore preset, where the Observer digests 16 process
+groups (kmeans's barriers included) every quantum.
 
 If a PR intentionally changes simulation behaviour (new model, different
 float-op ordering), regenerate the goldens and review the diff:
@@ -33,12 +35,19 @@ from repro.obs.sinks import JsonlSink
 from repro.sim.engine import SimulationEngine
 from repro.sim.results import RunResult
 from repro.sim.topology import SocketSpec, Topology
+from repro.topologies import TOPOLOGY_REGISTRY
 from repro.workloads.suite import WorkloadSpec
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 POLICIES = ("cfs", "dio", "dike", "dike-af", "dike-ap")
 SEED = 7
 WORK_SCALE = 0.02
+SCALE128_POLICIES = ("dike", "dike-hier")
+SCALE128_APPS = (
+    "jacobi", "streamcluster", "stream_omp", "needle", "lavaMD",
+    "leukocyte", "srad", "hotspot", "heartwall",
+)
+SCALE128_WORK_SCALE = 0.02
 
 
 def _topology() -> Topology:
@@ -79,6 +88,23 @@ def golden_run(policy: str, trace_path: Path | None = None) -> RunResult:
     return result
 
 
+def scale128_run(policy: str) -> RunResult:
+    """15 apps + kmeans, 8 threads each, filling the 128-vcore preset."""
+    spec = WorkloadSpec(
+        name="golden-scale128",
+        apps=tuple(SCALE128_APPS[i % len(SCALE128_APPS)] for i in range(15)),
+    )
+    engine = SimulationEngine(
+        topology=TOPOLOGY_REGISTRY.build("scale128"),
+        groups=spec.build(seed=SEED, work_scale=SCALE128_WORK_SCALE),
+        scheduler=REGISTRY.build(policy),
+        seed=SEED,
+        workload_name=spec.name,
+        record_timeseries=False,
+    )
+    return engine.run()
+
+
 def fingerprint(result: RunResult) -> dict:
     """Canonical, bit-exact summary of a ``RunResult``.
 
@@ -113,6 +139,10 @@ def _regen() -> None:
     (GOLDEN_DIR / "results.json").write_text(
         json.dumps(fingerprints, indent=1, sort_keys=True) + "\n"
     )
+    scale128 = {p: fingerprint(scale128_run(p)) for p in SCALE128_POLICIES}
+    (GOLDEN_DIR / "scale128_results.json").write_text(
+        json.dumps(scale128, indent=1, sort_keys=True) + "\n"
+    )
 
 
 if os.environ.get("REPRO_REGEN_GOLDEN"):
@@ -133,6 +163,11 @@ else:
     def test_result_matches_checked_in_golden(policy):
         golden = json.loads((GOLDEN_DIR / "results.json").read_text())
         assert fingerprint(golden_run(policy)) == golden[policy]
+
+    @pytest.mark.parametrize("policy", SCALE128_POLICIES)
+    def test_scale128_result_matches_checked_in_golden(policy):
+        golden = json.loads((GOLDEN_DIR / "scale128_results.json").read_text())
+        assert fingerprint(scale128_run(policy)) == golden[policy]
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_trace_diff_against_golden_is_clean(policy, tmp_path, capsys):
