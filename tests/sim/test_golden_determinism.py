@@ -7,7 +7,9 @@ goldens (``tests/golden/``): a canonical fingerprint of each policy's
 ``RunResult`` plus the full JSONL event trace, for CFS, DIO and Dike on a
 tiny two-app workload — and result fingerprints of flat and hierarchical
 Dike on the 128-vcore preset, where the Observer digests 16 process
-groups (kmeans's barriers included) every quantum.
+groups (kmeans's barriers included) every quantum.  The sha256 of each
+Dike run's cache wire form (``run_result_to_full_json``, prediction log
+included) pins the bytes a campaign store writes, commit to commit.
 
 If a PR intentionally changes simulation behaviour (new model, different
 float-op ordering), regenerate the goldens and review the diff:
@@ -21,6 +23,7 @@ not the golden.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -28,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
+from repro.experiments.serialization import run_result_to_full_json
 from repro.policies import REGISTRY
 from repro.obs.diff import diff_traces, load_events
 from repro.obs.events import EventBus
@@ -48,6 +52,11 @@ SCALE128_APPS = (
     "leukocyte", "srad", "hotspot", "heartwall",
 )
 SCALE128_WORK_SCALE = 0.02
+#: runs whose cache wire bytes are pinned, as ``scenario/policy``
+WIRE_POLICIES = ("dike", "dike-af", "dike-ap")
+WIRE_KEYS = tuple(f"tiny/{p}" for p in WIRE_POLICIES) + tuple(
+    f"scale128/{p}" for p in SCALE128_POLICIES
+)
 
 
 def _topology() -> Topology:
@@ -130,6 +139,16 @@ def fingerprint(result: RunResult) -> dict:
     }
 
 
+def wire_run(key: str) -> RunResult:
+    scenario, policy = key.split("/")
+    return (golden_run if scenario == "tiny" else scale128_run)(policy)
+
+
+def wire_digest(result: RunResult) -> str:
+    """sha256 of the run's cache wire form, the bytes a store writes."""
+    return hashlib.sha256(run_result_to_full_json(result).encode()).hexdigest()
+
+
 def _regen() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     fingerprints = {}
@@ -142,6 +161,10 @@ def _regen() -> None:
     scale128 = {p: fingerprint(scale128_run(p)) for p in SCALE128_POLICIES}
     (GOLDEN_DIR / "scale128_results.json").write_text(
         json.dumps(scale128, indent=1, sort_keys=True) + "\n"
+    )
+    wire = {key: wire_digest(wire_run(key)) for key in WIRE_KEYS}
+    (GOLDEN_DIR / "wire_sha256.json").write_text(
+        json.dumps(wire, indent=1, sort_keys=True) + "\n"
     )
 
 
@@ -168,6 +191,11 @@ else:
     def test_scale128_result_matches_checked_in_golden(policy):
         golden = json.loads((GOLDEN_DIR / "scale128_results.json").read_text())
         assert fingerprint(scale128_run(policy)) == golden[policy]
+
+    @pytest.mark.parametrize("key", WIRE_KEYS)
+    def test_wire_bytes_match_checked_in_golden(key):
+        golden = json.loads((GOLDEN_DIR / "wire_sha256.json").read_text())
+        assert wire_digest(wire_run(key)) == golden[key]
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_trace_diff_against_golden_is_clean(policy, tmp_path, capsys):
