@@ -5,8 +5,9 @@ Layout under the store root::
     objects/<key[:2]>/<key>.json    one full-fidelity RunResult each
     index.jsonl                     append-only metadata, one line per put
 
-Artifacts are written atomically (tmp file + ``os.replace``) so a killed
-campaign never leaves a truncated object behind, and reads validate the
+Artifacts are written atomically (a per-writer tmp file + ``os.replace``)
+so a killed campaign never leaves a truncated object behind and two
+campaigns sharing a store may write one key at once.  Reads validate the
 schema version — a stale or undecodable artifact is a *miss*, never an
 error.  The JSONL index exists for humans and tooling (``wc -l``, grep by
 workload/policy); the objects directory alone is authoritative.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from repro.campaign.spec import TaskSpec
@@ -77,9 +79,16 @@ class ResultStore:
             doc["info"] = dict(info)
             doc["info"]["traffic"] = traffic
         payload = json.dumps(doc, sort_keys=True, allow_nan=False)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(payload)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         entry = {
             "key": key,
             "workload": result.workload_name,

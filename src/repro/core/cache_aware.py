@@ -40,6 +40,7 @@ from repro.core.selector import Selector, ThreadPair
 from repro.obs.events import NULL_BUS, CacheClusterFormed
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.pipeline import Stage, StageState
+from repro.util.stats import left_sum
 from repro.util.validation import require
 
 __all__ = [
@@ -156,7 +157,7 @@ class Blacklister:
             if t in report.access_rate
         }
         if rates:
-            mean = sum(rates.values()) / len(rates)
+            mean = left_sum(rates.values()) / len(rates)
             if mean > 0.0:
                 cut = self.interference_threshold * mean
                 for tid, rate in rates.items():

@@ -50,6 +50,7 @@ from repro.obs.events import NULL_BUS, ClusterAssigned, RebalanceExecuted
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.pipeline import Stage, StageState
 from repro.sim.topology import Topology
+from repro.util.stats import left_sum
 from repro.util.validation import require
 
 __all__ = [
@@ -144,12 +145,12 @@ class InterClusterRebalancer:
     def _signal(self, rates: list[float]) -> float | None:
         if not rates:
             return None
-        mean = sum(rates) / len(rates)
+        mean = left_sum(rates) / len(rates)
         if self.signal == "rate":
             return mean
         if mean <= 0.0:
             return 0.0
-        var = sum((r - mean) ** 2 for r in rates) / len(rates)
+        var = left_sum((r - mean) ** 2 for r in rates) / len(rates)
         return (var ** 0.5) / mean
 
     def rebalance(
@@ -188,7 +189,7 @@ class InterClusterRebalancer:
         lo = min(live, key=lambda i: (signals[i], i))
         if hi == lo:
             return []
-        scale = sum(abs(signals[i]) for i in live) / len(live)
+        scale = left_sum(abs(signals[i]) for i in live) / len(live)
         if signals[hi] - signals[lo] <= self.threshold * max(scale, 1e-12):
             return []
         donors = [t for t in members[hi] if eligible(t)]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.core.config import DikeConfig
 from repro.core.observer import ObserverReport
 from repro.obs.events import NULL_BUS, PairProposed
-from repro.util.stats import coefficient_of_variation
+from repro.util.stats import coefficient_of_variation, left_sum
 
 __all__ = ["ThreadPair", "Selector"]
 
@@ -175,12 +175,12 @@ class Selector:
             g = report.group_of.get(t)
             if g is not None:
                 by_group.setdefault(g, []).append(t)
-        total = sum(rates[t] for t in sorted_tids) or 1.0
+        total = left_sum(rates[t] for t in sorted_tids) or 1.0
         scored: list[tuple[float, list[int]]] = []
         for g, tids in by_group.items():
             if len(tids) < 2:
                 continue
-            weight = sum(rates[t] for t in tids) / total
+            weight = left_sum(rates[t] for t in tids) / total
             if weight < 0.05:
                 continue
             cv = coefficient_of_variation([rates[t] for t in tids])

@@ -23,13 +23,14 @@ Two flavours exist:
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Iterable
 
 import numpy as np
 
 from repro.metrics.fairness import benchmark_cv, fairness
 from repro.metrics.prediction import error_summary
-from repro.sim.results import BenchmarkResult, PredictionRecord, RunResult
+from repro.sim.results import BenchmarkResult, PredictionLog, RunResult
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -55,7 +56,7 @@ def _clean(value: Any) -> Any:
     """Make a scalar JSON-safe (NaN/inf become None)."""
     if isinstance(value, (np.floating, float)):
         v = float(value)
-        return v if np.isfinite(v) else None
+        return v if math.isfinite(v) else None
     if isinstance(value, (np.integer, int)):
         return int(value)
     return value
@@ -113,11 +114,27 @@ def run_result_to_json(result: RunResult, **kwargs: Any) -> str:
 def _enc(value: float) -> float | None:
     """Encode one float: non-finite becomes None (strict-JSON safe)."""
     v = float(value)
-    return v if np.isfinite(v) else None
+    return v if math.isfinite(v) else None
 
 
 def _dec(value: float | None) -> float:
     return float("nan") if value is None else float(value)
+
+
+def _enc_column(col: np.ndarray) -> list:
+    """Encode one prediction column: ``None`` only where a value is
+    non-finite (integer columns always are finite)."""
+    values = col.tolist()
+    if col.dtype.kind == "f" and not np.isfinite(col).all():
+        return [v if math.isfinite(v) else None for v in values]
+    return values
+
+
+def _object(value: Any, what: str) -> dict:
+    """``value`` if it is a JSON object, else ``ValueError``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is a {type(value).__name__}, not a JSON object")
+    return value
 
 
 def _enc_seq(values: Iterable[float]) -> list[float | None]:
@@ -140,7 +157,7 @@ def _freeze(value: Any) -> Any:
 def run_result_to_full_dict(result: RunResult) -> dict:
     """Lossless dict of a run result (minus the trace, which is never
     serialised — rerun with ``record_timeseries=True`` if you need one)."""
-    preds = result.predictions
+    log = result.predictions
     return {
         "schema_version": SCHEMA_VERSION,
         "workload": result.workload_name,
@@ -160,13 +177,10 @@ def run_result_to_full_dict(result: RunResult) -> dict:
             }
             for b in result.benchmarks
         ],
-        # Columnar layout: thousands of records, five scalars each.
+        # Columnar layout: the log's own columns, thousands of records each.
         "predictions": {
-            "time_s": _enc_seq(p.time_s for p in preds),
-            "quantum_index": [p.quantum_index for p in preds],
-            "tid": [p.tid for p in preds],
-            "predicted_rate": _enc_seq(p.predicted_rate for p in preds),
-            "actual_rate": _enc_seq(p.actual_rate for p in preds),
+            name: _enc_column(col)
+            for name, col in zip(PredictionLog.COLUMNS, log.columns())
         },
         "info": {
             k: (list(v) if isinstance(v, tuple) else v)
@@ -178,28 +192,18 @@ def run_result_to_full_dict(result: RunResult) -> dict:
 def run_result_from_dict(data: dict) -> RunResult:
     """Inverse of :func:`run_result_to_full_dict`.
 
-    Raises ``ValueError`` on a schema-version mismatch so callers (the
-    cache) treat stale artifacts as misses instead of decoding garbage.
+    Raises ``ValueError`` on a schema-version mismatch, on a document
+    that is not a JSON object and on prediction columns that hold a
+    non-number or differ in length, so callers (the cache) treat stale or
+    damaged artifacts as misses instead of decoding garbage.
     """
-    version = data.get("schema_version")
+    version = _object(data, "result").get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"result schema version {version!r} != expected {SCHEMA_VERSION}"
         )
-    p = data["predictions"]
-    predictions = tuple(
-        PredictionRecord(
-            time_s=_dec(t),
-            quantum_index=int(q),
-            tid=int(tid),
-            predicted_rate=_dec(pr),
-            actual_rate=_dec(ar),
-        )
-        for t, q, tid, pr, ar in zip(
-            p["time_s"], p["quantum_index"], p["tid"],
-            p["predicted_rate"], p["actual_rate"],
-        )
-    )
+    columns = _object(data["predictions"], "predictions")
+    predictions = PredictionLog(*(columns[name] for name in PredictionLog.COLUMNS))
     benchmarks = tuple(
         BenchmarkResult(
             group_id=int(b["group_id"]),
@@ -221,7 +225,7 @@ def run_result_from_dict(data: dict) -> RunResult:
         migration_count=int(data["migration_count"]),
         predictions=predictions,
         trace=None,
-        info={k: _freeze(v) for k, v in data["info"].items()},
+        info={k: _freeze(v) for k, v in _object(data["info"], "info").items()},
     )
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from repro.obs.events import NULL_BUS, EventBus
 from repro.sim.counters import QuantumCounters
-from repro.sim.results import PredictionRecord
+from repro.sim.results import PredictionLog
 from repro.sim.topology import Topology
 from repro.util.validation import require
 
@@ -148,10 +148,10 @@ class Scheduler(abc.ABC):
         actions may only reference live threads.
         """
 
-    def drain_prediction_records(self) -> tuple[PredictionRecord, ...]:
+    def drain_prediction_records(self) -> PredictionLog:
         """Prediction/ground-truth pairs accumulated so far (predictive
-        schedulers override; the base returns none)."""
-        return ()
+        schedulers override; the base returns the empty log)."""
+        return PredictionLog()
 
     def describe(self) -> dict[str, object]:
         """Config metadata stored into :class:`RunResult.info`."""

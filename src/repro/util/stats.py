@@ -16,7 +16,9 @@ boundaries.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -24,6 +26,7 @@ import numpy as np
 __all__ = [
     "coefficient_of_variation",
     "geometric_mean",
+    "left_sum",
     "MovingMean",
     "ExponentialMean",
     "summarize",
@@ -35,6 +38,17 @@ def _as_array(values: Iterable[float]) -> np.ndarray:
         values = list(values)
     arr = np.asarray(values, dtype=np.float64)
     return arr if arr.ndim == 1 else np.ravel(arr)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum added strictly left to right, starting from ``0.0``.
+
+    This is the builtin ``sum`` of Python 3.11.  From 3.12 the builtin
+    compensates float rounding and can differ in the last bit, so the
+    scheduler's sums use this to compute the same numbers on every
+    interpreter.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 def coefficient_of_variation(values: Iterable[float]) -> float:
