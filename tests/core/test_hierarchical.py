@@ -128,6 +128,12 @@ class TestRebalancer:
         for q in (0, 1, 9, 11, 19):
             assert reb.rebalance([[1], [2]], None, [], None, None, q, 0.0) == []
 
+    def test_cluster_signal_adds_left_to_right(self):
+        """The same mean on every interpreter: Python 3.12's builtin
+        ``sum`` would give 1/3 here."""
+        reb = InterClusterRebalancer(period=1, threshold=0.0, signal="rate")
+        assert reb._signal([1e16, 1.0, -1e16]) == 0.0
+
 
 class TestHierRuns:
     def test_zero_invariant_violations_under_load(
