@@ -5,21 +5,23 @@ overhead across independent runs, but it only pays off when the campaign
 layer feeds it *groups* of compatible tasks.  This module is that glue:
 
 * :func:`batchable` — the eligibility rule.  A task can join a batch when
-  nothing about it needs the scalar per-run loop: no LLC model (the flat
-  kernels do not model the cache hierarchy), no invariant contract and no
-  per-task trace sink (both attach per-run observers whose per-quantum
-  cost would defeat the batching anyway), no per-quantum timeseries.
+  nothing about it needs the scalar per-run loop: no invariant contract
+  and no per-task trace sink (both attach per-run observers whose
+  per-quantum cost would defeat the batching anyway), no per-quantum
+  timeseries.  LLC models batch: each lane resolves its own cache.
 * :func:`plan_batches` — groups eligible ``(key, task)`` pairs by batch
   signature (policy + parameters, topology, migration model, scenario
   shape) and chunks each group into :class:`BatchTask` units of at most
   ``max_batch`` members.  Ineligible tasks and singleton groups pass
   through as plain scalar units, preserving first-seen order.
 * :func:`execute_batch` / :func:`execute_unit` — the worker entry points.
-  A batch builds one engine per member (exactly as
-  :func:`~repro.campaign.spec.execute_task` would) and runs them through
-  a :class:`~repro.sim.batch.BatchEngine`; on *any* batch-level error it
-  falls back transparently to scalar per-member execution, so a batch can
-  only fail if the individual tasks fail.
+  A batch builds one engine per member with
+  :func:`~repro.campaign.spec.task_engine` (the builder
+  :func:`~repro.campaign.spec.execute_task` uses) and runs them through a
+  :class:`~repro.sim.batch.BatchEngine`; on *any* batch-level error it
+  falls back to scalar per-member execution, so a batch can only fail if
+  the individual tasks fail, and reports the error
+  (:attr:`BatchResult.fallback`) for campaign telemetry.
 
 Batching changes execution strategy only: per-run results, cache keys and
 cached bytes are identical either way (gated in CI by running a mixed
@@ -31,13 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.campaign.spec import (
-    TaskSpec,
-    execute_task,
-)
-from repro.policies import REGISTRY
+from repro.campaign.spec import TaskSpec, execute_task, finish_task, task_engine
 from repro.sim.results import RunResult
-from repro.topologies import TOPOLOGY_REGISTRY
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -94,19 +91,15 @@ class BatchResult:
 
     results: dict[str, RunResult]
     n_quanta: int
-    #: True when the batch engine failed and members ran scalar instead
-    fallback: bool = False
+    #: the batch engine's error when members ran scalar instead, else None
+    fallback: str | None = None
 
 
 def batchable(task: TaskSpec) -> bool:
     """Whether ``task`` may run inside a batch (see module docstring)."""
     if not isinstance(task, TaskSpec) and hasattr(task, "to_task"):
         task = task.to_task()
-    return (
-        task.sim.llc is None
-        and not task.invariants
-        and not task.sim.record_timeseries
-    )
+    return not task.invariants and not task.sim.record_timeseries
 
 
 def batch_signature(task: TaskSpec) -> tuple:
@@ -179,64 +172,28 @@ def plan_batches(
     return units
 
 
-def _build_engine(task: TaskSpec):
-    """One lane, wired exactly as ``execute_task``/``run_workload`` wire a
-    scalar run (no observers: batchable tasks have none)."""
-    from repro.sim.engine import SimulationEngine
-    from repro.sim.migration import MigrationModel
-
-    sim = task.sim
-    spec = task.workload.to_spec()
-    groups = spec.build(seed=task.seed, work_scale=sim.work_scale)
-    return SimulationEngine(
-        topology=TOPOLOGY_REGISTRY.build(sim.topology, dict(sim.topology_params)),
-        groups=groups,
-        scheduler=REGISTRY.build(task.policy, task.params),
-        migration=MigrationModel(*sim.migration) if sim.migration else None,
-        seed=task.seed,
-        counter_noise=sim.counter_noise,
-        max_time_s=sim.max_time_s,
-        record_timeseries=sim.record_timeseries,
-        workload_name=spec.name,
-    )
-
-
-def _stamp_traffic(task: TaskSpec, result: RunResult) -> None:
-    # Mirrors the tail of execute_task for open-loop tasks.
-    from repro.traffic.tracker import summarize_result
-
-    result.info["traffic"] = summarize_result(  # type: ignore[index]
-        result,
-        work_scale=task.sim.work_scale,
-        topology=task.sim.topology,
-        seed=task.seed,
-        topology_params=task.sim.topology_params,
-    ).to_dict()
-
-
 def execute_batch(batch: BatchTask) -> BatchResult:
     """Run one batch in-process (the worker entry point for batch units).
 
     Builds a lane per member and steps them through one
     :class:`~repro.sim.batch.BatchEngine`.  Any failure at the batch level
-    — incompatible lanes, an engine bug, a policy the flat kernels cannot
-    host — falls back to scalar per-member execution, so batching is never
-    the reason a task fails.
+    — incompatible lanes, an engine bug — falls back to scalar per-member
+    execution, so batching is never the reason a task fails; the error is
+    kept in :attr:`BatchResult.fallback`, which the campaign reports as a
+    ``batch_fallback`` telemetry event.
     """
     from repro.sim.batch import BatchEngine
 
+    fallback = None
     try:
-        engines = [_build_engine(task) for task in batch.tasks]
-        run_results = BatchEngine(engines).run()
-        results: dict[str, RunResult] = {}
-        for (key, task), result in zip(batch.items, run_results):
-            if task.traffic:
-                _stamp_traffic(task, result)
-            results[key] = result
-        fallback = False
-    except Exception:
+        engines = [task_engine(task) for task in batch.tasks]
+        results = {
+            key: finish_task(task, result)
+            for (key, task), result in zip(batch.items, BatchEngine(engines).run())
+        }
+    except Exception as exc:
         results = {key: execute_task(task) for key, task in batch.items}
-        fallback = True
+        fallback = f"{type(exc).__name__}: {exc}"
     return BatchResult(
         results=results,
         n_quanta=sum(r.n_quanta for r in results.values()),

@@ -190,8 +190,13 @@ class Campaign:
             executed = run_tasks(
                 units, fn=fn, config=self.executor, telemetry=self.telemetry
             )
+            by_key = dict(units)
             for unit_key, result in executed.items():
-                for key, member in self._unpack(unit_key, units, result):
+                if isinstance(result, BatchResult) and result.fallback:
+                    self.telemetry.batch_fallback(
+                        by_key[unit_key].label(), result.fallback
+                    )
+                for key, member in self._unpack(unit_key, by_key, result):
                     resolved[key] = member
                     if isinstance(member, RunResult):
                         self._memo[key] = member
@@ -213,7 +218,7 @@ class Campaign:
     @staticmethod
     def _unpack(
         unit_key: str,
-        units: Sequence[tuple[str, TaskSpec | BatchTask]],
+        units: dict[str, TaskSpec | BatchTask],
         result: RunResult | BatchResult | TaskFailure,
     ) -> list[tuple[str, RunResult | TaskFailure]]:
         """Flatten one executor unit's outcome to per-member entries."""
@@ -223,7 +228,7 @@ class Campaign:
             return [(unit_key, result)]
         # A failed unit: if it was a batch, every member inherits the
         # failure (with its own key/label) so callers see per-task errors.
-        unit = next((u for k, u in units if k == unit_key), None)
+        unit = units[unit_key]
         if isinstance(unit, BatchTask):
             return [
                 (key, replace(result, key=key, label=task.label()))

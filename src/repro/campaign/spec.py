@@ -43,6 +43,8 @@ __all__ = [
     "TOPOLOGIES",
     "build_scheduler",
     "build_topology",
+    "task_engine",
+    "finish_task",
     "execute_task",
 ]
 
@@ -406,6 +408,46 @@ def build_topology(name: str) -> Topology:
     return TOPOLOGY_REGISTRY.build(name)
 
 
+def task_engine(task: TaskSpec, bus=None):
+    """The engine that runs ``task``: the one builder for scalar tasks and
+    batch lanes alike, so both get every part of the task's machine."""
+    # Imported here rather than at module top: experiments.runner is also
+    # imported *by* the experiment modules that import this package, and a
+    # late import keeps the package import-order agnostic.
+    from repro.experiments.runner import build_engine
+
+    sim = task.sim
+    return build_engine(
+        task.workload.to_spec(),
+        REGISTRY.build(task.policy, task.params),
+        seed=task.seed,
+        work_scale=sim.work_scale,
+        topology=TOPOLOGY_REGISTRY.build(sim.topology, dict(sim.topology_params)),
+        migration=MigrationModel(*sim.migration) if sim.migration else None,
+        record_timeseries=sim.record_timeseries,
+        counter_noise=sim.counter_noise,
+        max_time_s=sim.max_time_s,
+        bus=bus,
+        llc=sim.llc,
+    )
+
+
+def finish_task(task: TaskSpec, result: RunResult) -> RunResult:
+    """Epilogue of every executed task, scalar or batched: open-loop
+    tasks get their traffic summary stamped into ``info``."""
+    if task.traffic:
+        from repro.traffic.tracker import summarize_result
+
+        result.info["traffic"] = summarize_result(  # type: ignore[index]
+            result,
+            work_scale=task.sim.work_scale,
+            topology=task.sim.topology,
+            seed=task.seed,
+            topology_params=task.sim.topology_params,
+        ).to_dict()
+    return result
+
+
 def execute_task(task: TaskSpec, trace_dir: str | None = None) -> RunResult:
     """Run one task to completion (the worker-process entry point).
 
@@ -418,14 +460,6 @@ def execute_task(task: TaskSpec, trace_dir: str | None = None) -> RunResult:
     with :func:`functools.partial`) additionally writes the run's JSONL
     event trace to ``<trace_dir>/<label>.jsonl``.
     """
-    # Imported here rather than at module top: experiments.runner is also
-    # imported *by* the experiment modules that import this package, and a
-    # late import keeps the package import-order agnostic.
-    from repro.experiments.runner import run_workload
-
-    sim = task.sim
-    migration = MigrationModel(*sim.migration) if sim.migration else None
-
     attachment = None
     if task.invariants or trace_dir is not None:
         from repro.obs.attach import attach
@@ -441,30 +475,10 @@ def execute_task(task: TaskSpec, trace_dir: str | None = None) -> RunResult:
             swap_size=swap_size if isinstance(swap_size, int) else None,
         )
 
-    result = run_workload(
-        task.workload.to_spec(),
-        REGISTRY.build(task.policy, task.params),
-        seed=task.seed,
-        work_scale=sim.work_scale,
-        topology=TOPOLOGY_REGISTRY.build(sim.topology, dict(sim.topology_params)),
-        migration=migration,
-        record_timeseries=sim.record_timeseries,
-        counter_noise=sim.counter_noise,
-        max_time_s=sim.max_time_s,
-        bus=attachment.bus if attachment is not None else None,
-        llc=sim.llc,
-    )
+    result = task_engine(
+        task, bus=attachment.bus if attachment is not None else None
+    ).run()
     if attachment is not None:
         attachment.close()
         attachment.finalize(result)
-    if task.traffic:
-        from repro.traffic.tracker import summarize_result
-
-        result.info["traffic"] = summarize_result(  # type: ignore[index]
-            result,
-            work_scale=sim.work_scale,
-            topology=sim.topology,
-            seed=task.seed,
-            topology_params=sim.topology_params,
-        ).to_dict()
-    return result
+    return finish_task(task, result)

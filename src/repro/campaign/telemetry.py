@@ -59,6 +59,8 @@ class Telemetry:
         self.invariant_tasks = 0
         #: total invariant violations across those tasks
         self.invariant_violations = 0
+        #: batches whose engine failed, so their members ran scalar
+        self.batch_fallbacks = 0
         self._t0 = time.monotonic()
         self._last_line = 0.0
         self._events: IO[str] | None = None
@@ -164,6 +166,16 @@ class Telemetry:
         self.emit("task_failed", key=key, task=label, kind=kind, error=error)
         self._narrate(f"FAILED ({kind}) {label}: {error}", force=True)
 
+    def batch_fallback(self, label: str, error: str) -> None:
+        """A batch unit's engine failed and its members ran scalar.
+
+        The results are still right, but batching did not happen — and a
+        broken batched engine would otherwise pass every identity check
+        unseen."""
+        self.batch_fallbacks += 1
+        self.emit("batch_fallback", task=label, error=error)
+        self._narrate(f"batch fell back to scalar runs {label}: {error}", force=True)
+
     def degraded(self, reason: str) -> None:
         self.emit("degraded_to_serial", reason=reason)
         self._narrate(f"degraded to serial execution: {reason}", force=True)
@@ -192,6 +204,8 @@ class Telemetry:
         if self.invariant_tasks:
             out["invariant_tasks"] = self.invariant_tasks
             out["invariant_violations"] = self.invariant_violations
+        if self.batch_fallbacks:
+            out["batch_fallbacks"] = self.batch_fallbacks
         return out
 
     def close(self) -> None:
@@ -213,6 +227,8 @@ class Telemetry:
                 f"; invariants: {self.invariant_violations} violation(s) "
                 f"across {self.invariant_tasks} checked task(s)"
             )
+        if self.batch_fallbacks:
+            line += f"; {self.batch_fallbacks} batch(es) fell back to scalar"
         return line
 
     # ------------------------------------------------------------ private

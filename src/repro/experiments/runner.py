@@ -1,16 +1,18 @@
 """Single-run harness: ``(workload, policy, config, seed) -> RunResult``.
 
 Everything the figure/table modules need funnels through
-:func:`run_workload`, so simulator wiring (topology defaults, migration
-model, noise) lives in exactly one place.  Policies are passed as
-zero-argument *factories* because scheduler objects are stateful.
+:func:`run_workload`, whose :func:`build_engine` is the one place
+simulator wiring (topology defaults, migration model, noise, LLC)
+lives.  Policies are passed as zero-argument *factories* because
+scheduler objects are stateful.
 
 This is the low-level, eager entry point; batch consumers (the figure
 modules, the benches) describe runs declaratively as
 `repro.campaign.TaskSpec`s instead and gather them through a
 `repro.campaign.Campaign`, which adds deduplication, disk caching,
-parallel execution and retries on top of exactly this function
-(`repro.campaign.spec.execute_task` calls back into it).
+parallel execution and retries on top of exactly this wiring
+(`repro.campaign.spec.task_engine` builds every task's engine, scalar
+or batched, with :func:`build_engine`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.workloads.suite import WorkloadSpec
 __all__ = [
     "PolicyFactory",
     "STANDARD_POLICIES",
+    "build_engine",
     "run_workload",
     "run_scenario",
     "run_policies",
@@ -56,7 +59,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def run_workload(
+def build_engine(
     spec: WorkloadSpec | TrafficWorkload,
     scheduler: Scheduler,
     seed: int = DEFAULT_SEED,
@@ -69,8 +72,8 @@ def run_workload(
     max_time_s: float = 36_000.0,
     bus: EventBus | None = None,
     llc: str | None = None,
-) -> RunResult:
-    """Simulate one workload under one scheduler and return the result.
+) -> SimulationEngine:
+    """The engine that simulates one workload under one scheduler.
 
     ``bus`` is an optional observability event bus (`repro.obs`) — or the
     :class:`~repro.obs.attach.Attachment` handle returned by
@@ -84,7 +87,7 @@ def run_workload(
     bus = getattr(bus, "bus", bus)  # accept an Attachment handle
     topo = topology or xeon_e5_heterogeneous()
     groups = spec.build(seed=seed, work_scale=work_scale)
-    engine = SimulationEngine(
+    return SimulationEngine(
         topology=topo,
         groups=groups,
         scheduler=scheduler,
@@ -98,7 +101,14 @@ def run_workload(
         llc=llc,
         bus=bus,
     )
-    return engine.run()
+
+
+def run_workload(
+    spec: WorkloadSpec | TrafficWorkload, scheduler: Scheduler, **options: object
+) -> RunResult:
+    """Simulate one workload under one scheduler and return the result
+    (``options`` are :func:`build_engine`'s)."""
+    return build_engine(spec, scheduler, **options).run()
 
 
 #: Stable public name of the single-run entry point (the name the top

@@ -7,7 +7,10 @@ A scheduler interacts with the machine exclusively through:
   actions — computed from :class:`~repro.sim.counters.QuantumCounters`
   (the hardware-counter view) and the current placement,
 * its requested **quantum length** (adaptive schedulers change it at
-  runtime).
+  runtime),
+* optionally, a **decide gate** (:func:`gated`) telling the engine on
+  which quanta ``decide`` can act at all, so it can skip the call and
+  the counter window that feeds it.
 
 This is precisely the contract of a user-level contention-aware scheduler
 on Linux (read perf counters, call ``sched_setaffinity``), so everything
@@ -18,7 +21,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.obs.events import NULL_BUS, EventBus
 from repro.sim.counters import QuantumCounters
@@ -34,8 +39,34 @@ __all__ = [
     "Suspend",
     "Action",
     "Scheduler",
+    "DecideGate",
+    "gated",
     "spread_placement",
 ]
+
+#: ``gate(topology, occupancy) -> mask``: ``occupancy`` holds live-thread
+#: counts per virtual core, one row per run; the mask is True for the
+#: rows whose ``decide`` could return actions this quantum.
+DecideGate = Callable[[Topology, np.ndarray], np.ndarray]
+
+
+def gated(gate: DecideGate):
+    """Declare when a ``decide`` implementation can act.
+
+    The decorated ``decide`` must return no actions on a row where
+    ``gate`` is False, and must not read its counters (it receives
+    ``None`` unless something else needed the window).  The engines
+    then call it only where the gate opens and build no counters for
+    it; one gate call covers every run a batch steps.  The gate belongs
+    to the function, so a subclass that overrides ``decide`` is called
+    every quantum again unless it declares its own.
+    """
+
+    def mark(decide):
+        decide.gate = gate
+        return decide
+
+    return mark
 
 
 @dataclass(frozen=True)
@@ -147,6 +178,11 @@ class Scheduler(abc.ABC):
         ``placement`` maps every *live* thread to its current virtual core;
         actions may only reference live threads.
         """
+
+    def decide_gate(self) -> DecideGate | None:
+        """When :meth:`decide` needs calling: its :func:`gated` gate, or
+        ``None`` — every quantum, with a counter window."""
+        return getattr(self.decide, "gate", None)
 
     def drain_prediction_records(self) -> PredictionLog:
         """Prediction/ground-truth pairs accumulated so far (predictive

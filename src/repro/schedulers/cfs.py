@@ -21,11 +21,21 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.schedulers.base import Action, Move, Scheduler, SchedulingContext
+from repro.schedulers.base import Action, Move, Scheduler, SchedulingContext, gated
 from repro.sim.counters import QuantumCounters
+from repro.sim.smt import busy_vcores_per_core
 from repro.util.validation import check_positive
 
 __all__ = ["CFSScheduler"]
+
+
+def _idle_beside_crowded(topology, occupancy: np.ndarray) -> np.ndarray:
+    """Rows with an idle physical core while another hosts two or more
+    busy hardware threads: exactly when ``CFSScheduler.decide`` moves."""
+    load = busy_vcores_per_core(
+        occupancy.ravel(), topology.vcore_physical, topology.n_physical_cores
+    ).reshape(len(occupancy), -1)
+    return (load == 0).any(axis=1) & (load >= 2).any(axis=1)
 
 
 class CFSScheduler(Scheduler):
@@ -44,6 +54,7 @@ class CFSScheduler(Scheduler):
     def quantum_length_s(self) -> float:
         return self.rebalance_interval_s
 
+    @gated(_idle_beside_crowded)
     def decide(
         self, counters: QuantumCounters, placement: dict[int, int]
     ) -> Sequence[Action]:

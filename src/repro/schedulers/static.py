@@ -10,11 +10,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.schedulers.base import Action, Scheduler
+import numpy as np
+
+from repro.schedulers.base import Action, Scheduler, gated
 from repro.sim.counters import QuantumCounters
 from repro.util.validation import check_positive
 
 __all__ = ["StaticScheduler"]
+
+
+def _never(topology, occupancy: np.ndarray) -> np.ndarray:
+    return np.zeros(len(occupancy), dtype=bool)
 
 
 class StaticScheduler(Scheduler):
@@ -61,6 +67,7 @@ class StaticScheduler(Scheduler):
     def quantum_length_s(self) -> float:
         return self.quantum_s
 
+    @gated(_never)
     def decide(
         self, counters: QuantumCounters, placement: dict[int, int]
     ) -> Sequence[Action]:

@@ -7,13 +7,20 @@ shared heterogeneous machine in discrete scheduling quanta.  Per quantum it
 2. gathers each runnable thread's phase parameters (with post-migration
    cache warm-up applied),
 3. computes cycle rates after SMT sharing (`repro.sim.smt`),
-4. solves the memory contention fixed point (`repro.sim.memory`) to get
+4. resolves effective miss ratios through the LLC model, if one is active,
+5. solves the memory contention fixed point (`repro.sim.memory`) to get
    achieved access rates and instruction rates,
-5. advances thread progress (honouring barriers and migration penalties),
+6. advances thread progress (honouring barriers and migration penalties),
    stamping sub-quantum-accurate finish times,
-6. emits a :class:`~repro.sim.counters.QuantumCounters` sample (with
+7. emits a :class:`~repro.sim.counters.QuantumCounters` sample (with
    optional measurement noise) to the scheduler,
-7. applies the scheduler's migration actions with their costs.
+8. applies the scheduler's migration actions with their costs.
+
+Steps 2–6 are :func:`step_quantum`, the one implementation of the
+machine model.  It steps any number of independent runs ("lanes") at
+once: this engine runs it over its own state as a single lane, and the
+batched engine (`repro.sim.batch`) over many lanes' stacked state.
+Steps 1 and 7–8 are the engine's per-lane methods, shared the same way.
 
 All mutable per-thread state lives in a persistent structure-of-arrays
 :class:`~repro.sim.state.SimState` that is updated incrementally — on
@@ -23,8 +30,11 @@ Python object traffic.  Actions address threads by tid, which *is* the
 array index, so applying them needs no lookup table at all.  When neither
 the trace recorder nor the event bus is active, the quantum loop also
 skips building the per-quantum assignment and access-rate dictionaries
-(the zero-observer fast path).  The :class:`~repro.sim.thread.SimThread`
-objects are synced from the arrays once, when the run ends.
+(the zero-observer fast path), and a scheduler whose ``decide`` is gated
+(`repro.schedulers.base.gated`) gets neither a counter window nor a
+call on quanta where it cannot act.  The
+:class:`~repro.sim.thread.SimThread` objects are synced from the arrays
+once, when the run ends.
 """
 
 from __future__ import annotations
@@ -59,15 +69,158 @@ from repro.sim.memory import MemoryModelConfig, MemorySystem
 from repro.sim.migration import MigrationModel
 from repro.sim.process import ProcessGroup
 from repro.sim.results import BenchmarkResult, RunResult
-from repro.sim.smt import smt_cycle_rates
+from repro.sim.smt import SMT_STALL_BONUS, smt_cycle_rates
 from repro.sim.state import SimState
 from repro.sim.thread import SimThread
 from repro.sim.topology import Topology
 from repro.sim.trace import SwapEvent, TraceRecorder
 from repro.util.rng import make_rng
-from repro.util.validation import check_non_negative, check_positive, require
+from repro.util.validation import (
+    check_in_range,
+    check_non_negative,
+    check_positive,
+    require,
+)
 
-__all__ = ["SimulationEngine"]
+__all__ = ["SimulationEngine", "step_quantum"]
+
+
+def step_quantum(
+    lanes: Sequence["SimulationEngine"],
+    st,
+    idx: np.ndarray,
+    bounds: Sequence[int],
+    qlen: float | np.ndarray,
+    t0: float | np.ndarray,
+    offsets: Sequence[int] = (0,),
+    lane_of: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Advance the runnable threads ``idx`` of every lane by one quantum.
+
+    ``st`` holds the per-thread columns ``idx`` indexes: one lane's
+    :class:`SimState`, or the stacked state of a batch, where lane ``r``
+    owns columns ``offsets[r]:offsets[r + 1]`` and the runnable threads
+    ``idx[bounds[r]:bounds[r + 1]]``.  ``lane_of`` gives each runnable
+    thread's lane (``None``: one lane).  ``qlen`` and ``t0`` are the
+    quantum length and start time — floats for one lane, per-thread
+    arrays for several.  The lanes share one machine (topology, memory
+    constants, SMT efficiency, warm-up scale; see
+    `repro.sim.batch.batch_compatible`).
+
+    Every elementwise step is the same for any number of lanes, and every
+    reduction (SMT bincounts, the memory fixed point, LLC occupancy) runs
+    per lane over its contiguous slice in thread order, so a lane's bits
+    do not depend on which lanes it is stepped with.
+
+    Returns ``(vcore_of, api, access_rate, eff_time, work)`` per runnable
+    thread, for the lanes' counter windows.
+    """
+    if not idx.size:
+        empty = np.zeros(0)
+        return idx, empty, empty, empty, empty
+    first = lanes[0]
+    topo = first.topology
+    base_stall = first.memory.config.base_miss_stall_cycles
+    vcore_of = st.vcore[idx]
+    cpi = st.cpi[idx]
+    api = st.api[idx]
+    miss_ratio = st.miss_ratio[idx]
+    warmup_left = st.warmup_left[idx]
+
+    # Memory-stall fraction at the uncontended stall cost, used by the SMT
+    # model (a stalled sibling frees issue slots).
+    mpi0 = api * miss_ratio
+    stall_frac = (mpi0 * base_stall) / (cpi + mpi0 * base_stall)
+    cycle_rate = smt_cycle_rates(
+        vcore_of,
+        topo.vcore_physical,
+        topo.vcore_freq_hz,
+        first.smt_efficiency,
+        stall_fraction=stall_frac,
+        n_physical=topo.n_physical_cores,
+        lane_of=lane_of,
+        n_lanes=len(lanes),
+    )
+
+    # Post-migration cache warm-up: the miss-ratio inflation only covers
+    # `warmup_work` instructions, so scale it by the warm-up fraction of
+    # this quantum's expected work (estimated at the uncontended rate) — a
+    # thread mid-warm-up pays fully, a thread with a sliver left pays a
+    # sliver, and one with none is unchanged (scale 1).
+    if warmup_left.any():
+        expected = cycle_rate / (cpi + api * miss_ratio * base_stall) * qlen
+        frac = np.clip(warmup_left / np.maximum(expected, 1.0), 0.0, 1.0)
+        scale = 1.0 + (first.migration.warmup_miss_scale - 1.0) * frac
+        miss_ratio = np.minimum(miss_ratio * scale, 1.0)
+    socket_of = topo.vcore_socket[vcore_of]
+    # Each lane's LLC resolves its threads' cache shares first; the
+    # bandwidth allocator then consumes the *effective* miss ratios
+    # occupancy implies.
+    for r, lane in enumerate(lanes):
+        if lane._llc_active and bounds[r + 1] > bounds[r]:
+            seg = slice(bounds[r], bounds[r + 1])
+            miss_ratio[seg] = lane._resolve_llc(
+                idx[seg] - offsets[r], miss_ratio[seg], socket_of[seg]
+            )
+    mpi = api * miss_ratio
+    access_rate, ips = first.memory.solve(
+        cycle_rate, cpi, mpi, socket_of, bounds, [lane.memory for lane in lanes]
+    )
+
+    penalties = st.pending_penalty[idx]
+    eff_time = np.maximum(qlen - penalties, 0.0)
+    work = ips * eff_time
+
+    # Progress.  Barrier waits and accrued work are columns of `st`;
+    # completions also go through their lane's SimState.finish (groups,
+    # live window, occupancy).  A thread reaching its next barrier stops
+    # *at* the barrier and waits; otherwise it completes once it reaches
+    # its total work.
+    done_work = st.work_done[idx]
+    target = done_work + work
+    barrier = st.next_barrier[idx]
+    total = st.total_work[idx]
+    hit = target >= barrier
+    if hit.any():
+        st.waiting[idx[hit]] = True
+        target = np.where(hit, barrier, target)
+    done = (target >= total) & ~hit
+    if done.any():
+        # Sub-quantum-accurate finish stamps: where this quantum's work
+        # overshoots the remaining work (and no barrier intervenes),
+        # interpolate the finish time inside the quantum.
+        remaining = np.maximum(total - done_work, 0.0)
+        interp = (
+            (work >= remaining)
+            & (remaining > 0.0)
+            & (ips > 0.0)
+            & (barrier >= total)
+        )
+        now = np.full(idx.size, t0 + qlen)
+        if interp.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                finish_at = t0 + penalties + remaining / ips
+            now = np.where(interp, finish_at, now)
+        target = np.where(done, total, target)
+        for r, pos in _lanes_where(done, bounds, lane_of):
+            lanes[r].state.finish(idx[pos] - offsets[r], now[pos])
+    st.work_done[idx] = target
+    # Warm-up drains by attempted work; one-shot penalties are paid.
+    st.warmup_left[idx] = np.maximum(warmup_left - work, 0.0)
+    st.pending_penalty[idx] = 0.0
+    # Re-resolve cached phase segments where a boundary was crossed.
+    crossed = target >= st.seg_end[idx]
+    if crossed.any():
+        for r, pos in _lanes_where(crossed, bounds, lane_of):
+            lanes[r].state.refresh_segments(idx[pos] - offsets[r])
+    return vcore_of, api, access_rate, eff_time, work
+
+
+def _lanes_where(mask: np.ndarray, bounds: Sequence[int], lane_of):
+    """``(lane, positions)`` for every lane with a True entry in ``mask``."""
+    rows = [0] if lane_of is None else np.unique(lane_of[mask]).tolist()
+    for r in rows:
+        yield r, np.flatnonzero(mask[bounds[r] : bounds[r + 1]]) + bounds[r]
 
 
 class SimulationEngine:
@@ -87,7 +240,9 @@ class SimulationEngine:
     memory_config:
         Physical constants of the contention model.
     smt_efficiency:
-        Per-thread throughput fraction under SMT sharing.
+        Per-thread throughput fraction under SMT sharing, in
+        ``[0.1, 0.75]`` (a stalled sibling can give back up to
+        ``SMT_STALL_BONUS`` = 0.25 more).
     seed:
         Seed for measurement noise (and handed to the scheduler context).
     counter_noise:
@@ -130,6 +285,11 @@ class SimulationEngine:
         bus: EventBus | None = None,
     ) -> None:
         require(len(groups) >= 1, "at least one process group is required")
+        # The SMT model gives a stalled sibling's share back on top of the
+        # base share (`repro.sim.smt`), so the two must fit in one core.
+        check_in_range(
+            smt_efficiency, 0.1, 1.0 - SMT_STALL_BONUS + 1e-9, "smt_efficiency"
+        )
         self.topology = topology
         self.groups = list(groups)
         self.scheduler = scheduler
@@ -149,10 +309,6 @@ class SimulationEngine:
         self.threads.sort(key=lambda t: t.tid)
         tids = [t.tid for t in self.threads]
         require(tids == list(range(len(tids))), "thread ids must be dense from 0")
-        require(
-            len(self.threads) <= topology.n_vcores or True,
-            "oversubscription is allowed but unusual",
-        )
 
         self.bus = bus if bus is not None else NULL_BUS
         self.metrics = self.bus.metrics
@@ -323,12 +479,13 @@ class SimulationEngine:
     def _start(self) -> None:
         """Run preamble: prepare the scheduler, place the t=0 population.
 
-        Split out of :meth:`run` so the batched engine
-        (`repro.sim.batch`) can reuse the exact same setup per lane while
-        replacing only the quantum loop.
+        Split out of :meth:`run`, like the other per-lane steps below, so
+        the batched engine (`repro.sim.batch`) runs the exact same code
+        per lane around its shared :func:`step_quantum`.
         """
         self.scheduler.prepare(self._make_context())
         self._apply_initial_placement()
+        self._decide_gate = self.scheduler.decide_gate()
 
         for g in self.groups:
             if g.arrival_s <= 0.0:
@@ -344,27 +501,45 @@ class SimulationEngine:
     def run(self) -> RunResult:
         """Execute the simulation to completion and return the result."""
         self._start()
-
-        while not self.state.all_finished():
-            if self.time_s >= self.max_time_s:
-                self.truncated = True
-                break
-            qlen = float(self.scheduler.quantum_length_s())
-            require(qlen > 0.0, f"scheduler returned non-positive quantum {qlen}")
-            counters = self._execute_quantum(qlen)
-            self.state.release_ready_barriers()
-            # Groups whose arrival time passed during the quantum wake now,
-            # before the scheduler decides, so it sees them placed.
-            self._place_arrivals()
-            placement = self.state.live_placement()
-            if placement:
-                actions = self.scheduler.decide(counters, placement)
-                self._apply_actions(actions, placement)
-
+        gate = self._decide_gate
+        while self._running():
+            counters = self._execute_quantum(self._quantum_length())
+            if gate is None or gate(self.topology, self.state.occupancy[None])[0]:
+                self._decide(counters)
         return self._finish()
 
     @timed("engine.quantum_s")
-    def _execute_quantum(self, qlen: float) -> QuantumCounters:
+    def _execute_quantum(self, qlen: float) -> QuantumCounters | None:
+        live_idx = self._begin_quantum(qlen)
+        idx = self.state.runnable_indices()
+        rows = step_quantum((self,), self.state, idx, (0, idx.size), qlen, self.time_s)
+        return self._end_quantum(qlen, live_idx, idx, *rows)
+
+    # ------------------------------------------------------ per-lane steps
+
+    def _running(self) -> bool:
+        """Loop head: False once every thread finished or the time
+        horizon is reached (which flags the run as truncated)."""
+        if self.state.all_finished():
+            return False
+        if self.time_s >= self.max_time_s:
+            self.truncated = True
+            return False
+        return True
+
+    def _quantum_length(self) -> float:
+        qlen = float(self.scheduler.quantum_length_s())
+        require(qlen > 0.0, f"scheduler returned non-positive quantum {qlen}")
+        return qlen
+
+    def _begin_quantum(self, qlen: float) -> np.ndarray | None:
+        """Quantum prologue; returns the live tids when observing.
+
+        The observer's view covers every thread alive at quantum *start*
+        (threads finishing mid-quantum still appear in its last sample),
+        so the live set is snapshot before progress is applied.  Skipped
+        (``None``) on the zero-observer fast path.
+        """
         if self.bus.enabled:
             self.bus.at(self.quantum_index, self.time_s)
             self.bus.emit(
@@ -374,117 +549,58 @@ class SimulationEngine:
                     quantum_length_s=qlen,
                 )
             )
+        if self.trace.record_timeseries or self.bus.enabled:
+            return self.state.live_indices()
+        return None
+
+    def _resolve_llc(
+        self, idx: np.ndarray, miss_ratio: np.ndarray, socket_of: np.ndarray
+    ) -> np.ndarray:
+        """The LLC's effective miss ratios for this lane's runnable tids."""
         st = self.state
-        idx = st.runnable_indices()
-        # The observer's view covers every thread alive at quantum *start*
-        # (threads finishing mid-quantum still appear in its last sample),
-        # so snapshot the live set before progress is applied.  Skipped on
-        # the zero-observer fast path.
-        observing = self.trace.record_timeseries or self.bus.enabled
-        live_idx = st.live_indices() if observing else None
-
-        if idx.size:
-            vcore_of = st.vcore[idx]
-            cpi = st.cpi[idx]
-            api = st.api[idx]
-            miss_ratio = st.miss_ratio[idx]
-            warmup_left = st.warmup_left[idx]
-
-            # Memory-stall fraction at the uncontended stall cost, used by
-            # the SMT model (a stalled sibling frees issue slots).
-            base_stall = self.memory.config.base_miss_stall_cycles
-            mpi0 = api * miss_ratio
-            stall_frac = (mpi0 * base_stall) / (cpi + mpi0 * base_stall)
-            cycle_rate = smt_cycle_rates(
-                vcore_of,
-                self.topology.vcore_physical,
-                self.topology.vcore_freq_hz,
-                self.smt_efficiency,
-                stall_fraction=stall_frac,
-                n_physical=self.topology.n_physical_cores,
-            )
-
-            # Post-migration cache warm-up: the miss-ratio inflation only
-            # covers `warmup_work` instructions, so scale it by the warm-up
-            # fraction of this quantum's expected work (estimated at the
-            # uncontended rate) — a thread mid-warm-up pays fully, a thread
-            # with a sliver left pays a sliver.
-            if warmup_left.any():
-                expected = (
-                    cycle_rate
-                    / (cpi + api * miss_ratio * base_stall)
-                    * qlen
+        miss_ratio = self.llc.resolve(st, idx, miss_ratio, socket_of)
+        if self.bus.enabled:
+            self.bus.emit(
+                CacheShareUpdated(
+                    quantum=self.quantum_index,
+                    time_s=self.time_s,
+                    shares=dict(zip(idx.tolist(), st.cache_share[idx].tolist())),
+                    working_sets=dict(
+                        zip(idx.tolist(), st.working_set[idx].tolist())
+                    ),
                 )
-                frac = np.clip(warmup_left / np.maximum(expected, 1.0), 0.0, 1.0)
-                scale = 1.0 + (self.migration.warmup_miss_scale - 1.0) * frac
-                miss_ratio = np.minimum(miss_ratio * scale, 1.0)
-            socket_of = self.topology.vcore_socket[vcore_of]
-            if self._llc_active:
-                # The LLC resolves per-thread cache shares first; the
-                # bandwidth allocator then consumes the *effective* miss
-                # ratios occupancy implies.
-                miss_ratio = self.llc.resolve(st, idx, miss_ratio, socket_of)
-                if self.bus.enabled:
-                    self.bus.emit(
-                        CacheShareUpdated(
-                            quantum=self.quantum_index,
-                            time_s=self.time_s,
-                            shares=dict(
-                                zip(idx.tolist(),
-                                    st.cache_share[idx].tolist())
-                            ),
-                            working_sets=dict(
-                                zip(idx.tolist(),
-                                    st.working_set[idx].tolist())
-                            ),
-                        )
-                    )
-            mpi = api * miss_ratio
-            access_rate, ips = self.memory.solve(cycle_rate, cpi, mpi, socket_of)
-
-            penalties = st.pending_penalty[idx]
-            eff_time = np.maximum(qlen - penalties, 0.0)
-            work = ips * eff_time
-
-            # Sub-quantum-accurate finish stamps: where this quantum's work
-            # overshoots the remaining work (and no barrier intervenes),
-            # interpolate the finish time inside the quantum.
-            end_time = self.time_s + qlen
-            remaining = np.maximum(st.total_work[idx] - st.work_done[idx], 0.0)
-            interp = (
-                (work >= remaining)
-                & (remaining > 0.0)
-                & (ips > 0.0)
-                & (st.next_barrier[idx] >= st.total_work[idx])
             )
-            if interp.any():
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    finish_at = self.time_s + penalties + remaining / ips
-                now = np.where(interp, finish_at, end_time)
-            else:
-                now = np.full(idx.size, end_time)
-            st.advance(idx, work, now)
-            st.consume_quantum(idx, work)
-            st.refresh_segments(idx)
-        else:
-            vcore_of = idx
-            work = eff_time = access_rate = api = np.zeros(0)
-        counters = self._quantum_counters(
-            qlen, idx, vcore_of, work, eff_time, access_rate, api
-        )
+        return miss_ratio
+
+    def _end_quantum(
+        self,
+        qlen: float,
+        live_idx: np.ndarray | None,
+        idx: np.ndarray,
+        vcore_of: np.ndarray,
+        api: np.ndarray,
+        access_rate: np.ndarray,
+        eff_time: np.ndarray,
+        work: np.ndarray,
+    ) -> QuantumCounters | None:
+        """Quantum tail, after :func:`step_quantum` moved this lane's
+        runnable tids ``idx``: the counter window (when a scheduler or an
+        observer reads it), suspensions, the clock, completions, the
+        trace and ``quantum_end``, then barrier release and arrivals."""
+        st = self.state
+        counters = None
+        if live_idx is not None or self._decide_gate is None:
+            counters = self._quantum_counters(
+                qlen, idx, vcore_of, work, eff_time, access_rate, api
+            )
 
         # Tick down suspensions at the quantum boundary.
         st.tick_suspensions()
 
         self.time_s += qlen
         self._drain_completed()
-        # Zero-observer fast path: with no trace recording and no event
-        # sinks, skip materialising the per-quantum dictionaries entirely.
-        if observing:
-            assert live_idx is not None
-            assignments = dict(
-                zip(live_idx.tolist(), st.vcore[live_idx].tolist())
-            )
+        if live_idx is not None:
+            assignments = dict(zip(live_idx.tolist(), st.vcore[live_idx].tolist()))
             access_rates = counters.access_rates()
             self.trace.record_quantum(
                 self.time_s,
@@ -503,7 +619,16 @@ class SimulationEngine:
                     )
                 )
         self.quantum_index += 1
+        st.release_ready_barriers()
+        # Groups whose arrival time passed during the quantum wake now,
+        # before the scheduler decides, so it sees them placed.
+        self._place_arrivals()
         return counters
+
+    def _decide(self, counters: QuantumCounters | None) -> None:
+        placement = self.state.live_placement()
+        if placement:
+            self._apply_actions(self.scheduler.decide(counters, placement), placement)
 
     def _quantum_counters(
         self,
@@ -522,8 +647,7 @@ class SimulationEngine:
         then one zero row per barrier-waiting or suspended thread — a real
         perf window shows them idle, and schedulers must cope.  A thread
         that hit a barrier this quantum gets both rows.  Called after
-        progress is applied and before suspensions tick, by the scalar and
-        the batched engine alike.
+        progress is applied and before suspensions tick.
         """
         st = self.state
         if self.counter_noise > 0.0 and idx.size:

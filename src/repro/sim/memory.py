@@ -35,6 +35,7 @@ backstop).  Iterations-to-converge are surfaced through the optional
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -225,6 +226,8 @@ class MemorySystem:
         cpi: np.ndarray,
         mpi: np.ndarray,
         socket_of: np.ndarray,
+        bounds: Sequence[int] | None = None,
+        lanes: Sequence["MemorySystem"] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Solve one quantum's rates for ``n`` runnable threads.
 
@@ -238,6 +241,15 @@ class MemorySystem:
             Misses per instruction of the current phase.
         socket_of:
             Socket hosting each thread.
+        bounds, lanes:
+            Several independent runs ("lanes") on copies of this machine
+            in one call: lane ``r`` owns threads ``bounds[r]:bounds[r + 1]``
+            and its solver state is ``lanes[r]`` (a system with this one's
+            config and capacities), which warm-starts the lane and records
+            its utilisation, iteration count and metrics.  ``None``: one
+            lane, this system.  Each lane runs its own fixed point over
+            its own contiguous slice, so its rates are bit-identical to
+            solving it alone; a lane with no threads is left untouched.
 
         Returns
         -------
@@ -268,72 +280,115 @@ class MemorySystem:
         if not (cpi.size == mpi.size == socket_of.size == n):
             raise ValueError("all per-thread arrays must have equal length")
         if n == 0:
-            self.last_utilization = 0.0
-            self.last_iterations = 0
             empty = np.zeros(0, dtype=np.float64)
             return empty, empty
-
-        if socket_of.min() < 0 or socket_of.max() >= self.socket_capacity.size:
-            raise ValueError("socket_of contains an unknown socket id")
-        tol = self.config.fixed_point_tolerance
-        controller_capacity = self.controller_capacity
         socket_capacity = self.socket_capacity
-        # Loop invariants, hoisted: the only scalar that changes between
-        # iterations is the utilisation estimate.
+        n_sockets = socket_capacity.size
+        if socket_of.min() < 0 or socket_of.max() >= n_sockets:
+            raise ValueError("socket_of contains an unknown socket id")
+        if lanes is None:
+            lanes, bounds = (self,), (0, n)
+        config = self.config
+        tol = config.fixed_point_tolerance
+        controller_capacity = self.controller_capacity
+
+        # Per-lane scalars of the fixed point, one entry per non-empty
+        # lane: the only values that change between iterations.
+        rows = [r for r in range(len(lanes)) if bounds[r + 1] > bounds[r]]
+        m = len(rows)
+        segs = [slice(bounds[r], bounds[r + 1]) for r in rows]
+        rho = [lanes[r].last_utilization for r in rows]  # warm starts
+        rho_prev = [0.0] * m
+        h_prev = [0.0] * m
+        new_rho = list(rho)
+        iterations = [config.fixed_point_iterations] * m
+        stall = [config.stall_cycles(u) for u in rho]
+        # Each thread's entry in those lists, to gather stall costs and key
+        # socket sums by (lane, socket).  One lane needs neither: its stall
+        # cost is one scalar and its keys are the socket ids.
+        lane_of = None
+        key = socket_of
+        if m > 1:
+            lane_of = np.repeat(np.arange(m), np.diff(bounds)[rows])
+            key = socket_of + lane_of * n_sockets
+        # Loop invariants, hoisted.
         mpi_pos = mpi > 0.0
         ips_mem = np.full(n, np.inf)
-
-        rho = self.last_utilization  # warm-start from the previous quantum
-        rho_prev = 0.0
-        h_prev = 0.0
-        access = np.zeros(0)
-        ips = np.zeros(0)
-        new_rho = rho
-        iterations = 0
-        for _ in range(self.config.fixed_point_iterations):
-            iterations += 1
-            stall = self.config.stall_cycles(rho)
-            ips0 = cycle_rate / (cpi + mpi * stall)
-            demand = ips0 * mpi
-            # Inlined two-stage allocation (validated above): the congested
-            # branch defers to allocate_bandwidth; the common branches cost
-            # a bincount plus at most one waterfill.
-            socket_demand = np.bincount(
-                socket_of, weights=demand, minlength=socket_capacity.size
-            )
-            if np.any(socket_demand > socket_capacity):
-                access = allocate_bandwidth(
-                    demand, socket_of, socket_capacity, controller_capacity
-                )
-            elif float(demand.sum()) <= controller_capacity:
-                access = demand
-            else:
-                access = waterfill(demand, controller_capacity)
+        # A lane's rates are those of its last iteration: lanes that stop
+        # while others go on are copied out here.
+        kept = None
+        todo = list(range(m))
+        for k in range(1, config.fixed_point_iterations + 1):
+            live = todo
+            stall_el = stall[0] if lane_of is None else np.array(stall)[lane_of]
+            ips0 = cycle_rate / (cpi + mpi * stall_el)
+            # Demand, allocated in place: a lane within every capacity is
+            # served in full, otherwise it gets its two-stage max-min fair
+            # allocation (a single waterfill when no socket link is over).
+            access = ips0 * mpi
+            congested = (
+                np.bincount(key, weights=access, minlength=m * n_sockets)
+                .reshape(m, n_sockets)
+                > socket_capacity
+            ).any(axis=1)
+            todo = []
+            for i in live:
+                seg = segs[i]
+                d = access[seg]
+                if congested[i]:
+                    d[:] = allocate_bandwidth(
+                        d, socket_of[seg], socket_capacity, controller_capacity
+                    )
+                    total = d.sum()
+                else:
+                    total = d.sum()
+                    if total > controller_capacity:
+                        d[:] = waterfill(d, controller_capacity)
+                        total = d.sum()
+                nr = new_rho[i] = float(total / controller_capacity)
+                # Residual of the un-damped update; at an exact fixed point
+                # (``nr == rho``) every further iteration would be
+                # bit-identical, so stopping is safe even with ``tol == 0``.
+                r0 = rho[i]
+                h = nr - r0
+                if abs(h) <= tol * max(abs(nr), abs(r0)):
+                    iterations[i] = k
+                    continue
+                # Secant step on g(rho) = f(rho) - rho: with two evaluations
+                # in hand, jump to the root estimate instead of creeping
+                # there with damped Picard steps.  Fall back to the damped
+                # step on the first iteration or a degenerate/overshooting
+                # secant (the backstop budget still bounds the loop).
+                if k > 1 and h != h_prev[i]:
+                    candidate = r0 - h * (r0 - rho_prev[i]) / (h - h_prev[i])
+                else:
+                    candidate = 0.5 * r0 + 0.5 * nr
+                if not 0.0 <= candidate <= 2.0:
+                    candidate = 0.5 * r0 + 0.5 * nr
+                rho_prev[i], h_prev[i], rho[i] = r0, h, candidate
+                stall[i] = config.stall_cycles(candidate)
+                todo.append(i)
             np.divide(access, mpi, out=ips_mem, where=mpi_pos)
             ips = np.minimum(ips0, ips_mem)
-            new_rho = float(access.sum() / controller_capacity)
-            # Residual of the un-damped update; at an exact fixed point
-            # (``new_rho == rho``) every further iteration would be
-            # bit-identical, so breaking is safe even with ``tol == 0``.
-            h = new_rho - rho
-            if abs(h) <= tol * max(abs(new_rho), abs(rho)):
+            if not todo:
                 break
-            # Secant step on g(rho) = f(rho) - rho: with two evaluations in
-            # hand, jump to the root estimate instead of creeping there with
-            # damped Picard steps — steady-state load shifts converge in two
-            # or three evaluations instead of five or six.  Fall back to the
-            # damped step on the first iteration or a degenerate/overshooting
-            # secant (the backstop budget still bounds the loop).
-            if iterations > 1 and h != h_prev:
-                candidate = rho - h * (rho - rho_prev) / (h - h_prev)
-            else:
-                candidate = 0.5 * rho + 0.5 * new_rho
-            if not 0.0 <= candidate <= 2.0:
-                candidate = 0.5 * rho + 0.5 * new_rho
-            rho_prev, h_prev = rho, h
-            rho = candidate
-        self.last_utilization = new_rho
-        self.last_iterations = iterations
-        if self.metrics is not None:
-            self.metrics.histogram("memory.solve_iterations").observe(iterations)
+            if len(todo) < len(live):
+                if kept is None:
+                    kept = np.empty(n), np.empty(n)
+                for i in set(live) - set(todo):
+                    kept[0][segs[i]] = access[segs[i]]
+                    kept[1][segs[i]] = ips[segs[i]]
+        if kept is not None:  # the lanes of the last iteration join them
+            for i in live:
+                kept[0][segs[i]] = access[segs[i]]
+                kept[1][segs[i]] = ips[segs[i]]
+            access, ips = kept
+        for i, r in enumerate(rows):
+            system = lanes[r]
+            system.last_utilization = new_rho[i]
+            system.last_iterations = iterations[i]
+            if system.metrics is not None:
+                system.metrics.histogram("memory.solve_iterations").observe(
+                    iterations[i]
+                )
         return access, ips

@@ -255,59 +255,39 @@ class SimState:
 
     # ---------------------------------------------------------- progress
 
-    def advance(self, idx: np.ndarray, work: np.ndarray, now: np.ndarray) -> None:
-        """Retire ``work`` instructions on threads ``idx``.
+    def finish(self, tids: np.ndarray, now: np.ndarray) -> None:
+        """Retire threads ``tids`` (ascending), which reached their total
+        work this quantum, with finish stamps ``now``.
 
-        ``now`` carries the per-thread finish stamp to apply if the thread
-        completes (the engine passes the sub-quantum-accurate value).
-        Mirrors :meth:`SimThread.advance` exactly: a thread reaching its
-        next barrier stops *at* the barrier and waits; otherwise progress
-        accrues and completion is detected against total work.
+        Progress itself — work accrual, barrier waits, the clamp to total
+        work — is columnar and done by the engine's quantum step
+        (`repro.sim.engine.step_quantum`), mirroring
+        :meth:`SimThread.advance`; this is the bookkeeping around a
+        completion: occupancy, group countdowns and the live window.
         """
-        target = self.work_done[idx] + work
-        hit = target >= self.next_barrier[idx]
-        if hit.any():
-            bidx = idx[hit]
-            self.work_done[bidx] = self.next_barrier[bidx]
-            self.waiting[bidx] = True
-            idx = idx[~hit]
-            target = target[~hit]
-            now = now[~hit]
-        self.work_done[idx] = target
-        done = target >= self.total_work[idx]
-        if done.any():
-            fidx = idx[done]
-            self.work_done[fidx] = self.total_work[fidx]
-            self.finished[fidx] = True
-            self.finish_time[fidx] = now[done]
-            # A finished thread releases its LLC share immediately.
-            self.cache_share[fidx] = 0.0
-            self.working_set[fidx] = 0.0
-            np.subtract.at(self.occupancy, self.vcore[fidx], 1)
-            self.n_finished += int(fidx.size)
-            for tid in fidx.tolist():
-                g = int(self.group_of[tid])
-                left = self.group_remaining[g] - 1
-                self.group_remaining[g] = left
-                if left == 0:
-                    self.completed_groups.append(g)
-            # Advance the window over the newly finished prefix.
-            lo, finished = self._live_lo, self.finished
-            while lo < self.n and finished[lo]:
-                lo += 1
-            self._live_lo = lo
+        self.finished[tids] = True
+        self.finish_time[tids] = now
+        # A finished thread releases its LLC share immediately.
+        self.cache_share[tids] = 0.0
+        self.working_set[tids] = 0.0
+        np.subtract.at(self.occupancy, self.vcore[tids], 1)
+        self.n_finished += int(tids.size)
+        for tid in tids.tolist():
+            g = int(self.group_of[tid])
+            left = self.group_remaining[g] - 1
+            self.group_remaining[g] = left
+            if left == 0:
+                self.completed_groups.append(g)
+        # Advance the window over the newly finished prefix.
+        lo, finished = self._live_lo, self.finished
+        while lo < self.n and finished[lo]:
+            lo += 1
+        self._live_lo = lo
 
-    def consume_quantum(self, idx: np.ndarray, work: np.ndarray) -> None:
-        """Drain warm-up by attempted work; clear one-shot penalties."""
-        self.warmup_left[idx] = np.maximum(self.warmup_left[idx] - work, 0.0)
-        self.pending_penalty[idx] = 0.0
-
-    def refresh_segments(self, idx: np.ndarray) -> None:
-        """Re-resolve the cached phase segment for threads in ``idx`` that
-        crossed their segment boundary (cheap no-op for the rest)."""
-        pos = self.work_done[idx]
-        crossed = idx[pos >= self.seg_end[idx]]
-        for tid in crossed.tolist():
+    def refresh_segments(self, tids: np.ndarray) -> None:
+        """Re-resolve the cached phase segment of threads ``tids``, which
+        crossed their segment boundary."""
+        for tid in tids.tolist():
             off = self.seg_offset[tid]
             count = self.seg_count[tid]
             bounds = self.seg_bounds[off : off + count]

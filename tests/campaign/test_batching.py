@@ -1,9 +1,11 @@
 """Campaign batching: grouping rules, result unpacking, cache identity.
 
 The guarantee under test: ``Campaign(batch=True)`` is an execution
-strategy, not a semantic change — a mixed campaign (batchable + fallback
-tasks) produces byte-identical cached artifacts either way, failures
-surface per member, and ineligible tasks never enter a batch.
+strategy, not a semantic change — a mixed campaign (batched LLC and
+non-LLC lanes plus scalar tasks) produces byte-identical cached artifacts
+either way, failures surface per member, a batch that falls back to
+scalar runs says so in telemetry, and ineligible tasks never enter a
+batch.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class TestEligibility:
     def test_plain_task_is_batchable(self):
         assert batchable(_task())
 
-    def test_llc_task_is_not(self):
-        assert not batchable(_task(llc="occupancy"))
+    def test_llc_task_is_batchable(self):
+        assert batchable(_task(llc="occupancy"))
 
     def test_invariant_task_is_not(self):
         from dataclasses import replace
@@ -78,7 +80,11 @@ class TestPlanning:
         assert sizes == [3, DEFAULT_BATCH_SIZE]
 
     def test_singletons_and_ineligible_stay_scalar(self):
-        tasks = [_task("cfs", 0), _task("dike", 0), _task("cfs", 1, llc="occupancy")]
+        from dataclasses import replace
+
+        tasks = [
+            _task("cfs", 0), _task("dike", 0), replace(_task("cfs", 1), invariants=True),
+        ]
         units = plan_batches(_keyed(tasks))
         assert all(isinstance(u, TaskSpec) for _, u in units)
         assert len(units) == 3
@@ -107,15 +113,45 @@ class TestExecution:
         monkeypatch.setattr(batch_mod.BatchEngine, "run", boom)
         batch = BatchTask(items=tuple(_keyed([_task(seed=s) for s in range(2)])))
         out = execute_batch(batch)
-        assert out.fallback
+        assert out.fallback == "RuntimeError: synthetic batch-engine failure"
         assert set(out.results) == set(batch.keys)
+
+    def test_llc_lanes_keep_their_cache_model(self):
+        tasks = [_task("cfs", s, llc="occupancy") for s in range(2)]
+        out = execute_batch(BatchTask(items=tuple(_keyed(tasks))))
+        assert not out.fallback
+        for result in out.results.values():
+            assert result.info["llc"]["model"] == "occupancy"
+
+    def test_fallback_is_reported_in_telemetry(self, tmp_path, monkeypatch):
+        import repro.sim.batch as batch_mod
+
+        def boom(self):
+            raise RuntimeError("synthetic batch-engine failure")
+
+        monkeypatch.setattr(batch_mod.BatchEngine, "run", boom)
+        from repro.campaign.telemetry import Telemetry
+
+        log = tmp_path / "events.jsonl"
+        telemetry = Telemetry(events_path=log, stream=None)
+        c = Campaign(telemetry=telemetry, batch=True)
+        assert len(c.gather([_task(seed=s) for s in range(3)])) == 3
+        telemetry.close()
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        (fallback,) = [e for e in events if e["event"] == "batch_fallback"]
+        assert fallback["task"].startswith("batch[3]:wl1/cfs")
+        assert "synthetic batch-engine failure" in fallback["error"]
+        assert events[-1]["event"] == "summary"
+        assert events[-1]["batch_fallbacks"] == 1
+        assert "fell back" in telemetry.render_summary()
 
 class TestCacheIdentity:
     def _mixed_tasks(self):
         tasks = [_task("cfs", s) for s in range(4)]
         tasks += [_task("dike", s) for s in range(2)]
         tasks += [_task("cfs", 0, wl="wl7")]          # same shape, batches in
-        tasks += [_task("cfs", 1, llc="occupancy")]   # fallback: scalar
+        tasks += [_task("cfs", 1, llc="occupancy")]   # LLC lane, batches in
+        tasks += [_task("dike", s, llc="occupancy") for s in range(2)]
         return tasks
 
     def _store_bytes(self, root) -> dict[str, bytes]:

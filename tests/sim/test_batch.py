@@ -3,10 +3,13 @@
 The batched engine's contract is *bit-equality*: for any batch of
 compatible runs, every lane's ``RunResult`` — metrics, events, info —
 serialises to exactly the bytes the scalar engine produces for the same
-run, and the final ``SimState`` columns match bit-for-bit.  These tests
-pin that down over randomized (seed, workload, policy) triples, mixed run
-lengths (early finishers), open-loop arrivals and truncation, plus the
-JSONL byte-identity of a traced lane.
+run, and the final ``SimState`` columns match bit-for-bit.  Both engines
+step the same `repro.sim.engine.step_quantum` (the scalar one as a single
+lane), so these tests pin down the lane segmentation: randomized (seed,
+workload, policy) triples with occupancy-LLC and open-loop lanes mixed
+in, mixed run lengths (early finishers), truncation, scheduler subclasses
+that override a gated ``decide``, plus the JSONL byte-identity of a
+traced lane.
 """
 
 from __future__ import annotations
@@ -19,9 +22,13 @@ import pytest
 
 from repro.experiments.serialization import run_result_to_full_json
 from repro.policies import REGISTRY
+from repro.schedulers.base import Swap
+from repro.schedulers.cfs import CFSScheduler
+from repro.schedulers.static import StaticScheduler
 from repro.sim.batch import STACKED_COLUMNS, BatchEngine, batch_compatible
 from repro.sim.engine import SimulationEngine
 from repro.sim.topology import xeon_e5_heterogeneous
+from repro.traffic import TrafficSpec
 from repro.workloads.suite import workload
 
 WORK_SCALE = 0.05
@@ -33,8 +40,13 @@ def _engine(
     seed: int,
     work_scale: float = WORK_SCALE,
     max_time_s: float = 36_000.0,
+    llc: str | None = None,
 ):
-    spec = workload(wl)
+    # "poisson" names an open-loop workload: 5 Poisson-arrival jobs.
+    if wl == "poisson":
+        spec = TrafficSpec.at_rate(0.25, n_jobs=5, trace_seed=seed).workload()
+    else:
+        spec = workload(wl)
     return SimulationEngine(
         topology=xeon_e5_heterogeneous(),
         groups=spec.build(seed=seed, work_scale=work_scale),
@@ -42,18 +54,34 @@ def _engine(
         seed=seed,
         max_time_s=max_time_s,
         workload_name=spec.name,
+        llc=llc,
     )
+
+
+def _json(results) -> list[str]:
+    return [run_result_to_full_json(r) for r in results]
 
 
 class TestRandomizedTriples:
     def test_randomized_seed_workload_policy_triples(self):
         rng = random.Random(0xBA7C4)
         policies = sorted(s.name for s in REGISTRY)
-        workloads = ["wl1", "wl7", "wl12"]
+        workloads = ["wl1", "wl7", "wl12", "poisson"]
         configs = [
-            (rng.choice(workloads), rng.choice(policies), rng.randrange(1000))
+            (
+                rng.choice(workloads),
+                rng.choice(policies),
+                rng.randrange(1000),
+                WORK_SCALE,
+                36_000.0,
+                rng.choice([None, "occupancy"]),
+            )
             for _ in range(10)
         ]
+        # The draw covers the lane kinds the kernel segments differently.
+        assert any(c[5] == "occupancy" for c in configs)
+        assert any(c[5] is None for c in configs)
+        assert any(c[0] == "poisson" for c in configs)
         scalar = [_engine(*c).run() for c in configs]
         lanes = [_engine(*c) for c in configs]
         batched = BatchEngine(lanes).run()
@@ -131,18 +159,28 @@ class TestLifecycleEdges:
 
 
 class TestCompatibility:
-    def test_llc_lane_is_incompatible(self):
-        spec = workload("wl1")
-        lane = SimulationEngine(
-            topology=xeon_e5_heterogeneous(),
-            groups=spec.build(seed=1, work_scale=WORK_SCALE),
-            scheduler=REGISTRY.factory("cfs")(),
-            seed=1,
-            workload_name=spec.name,
-            llc="occupancy",
-        )
+    def test_llc_lanes_batch_and_match_one_lane_runs(self):
+        configs = [
+            ("wl1", "cfs", 2, WORK_SCALE, 36_000.0, None),
+            ("wl1", "cfs", 1, WORK_SCALE, 36_000.0, "occupancy"),
+            ("wl7", "dike", 3, WORK_SCALE, 36_000.0, "occupancy"),
+            ("poisson", "bliss", 4, WORK_SCALE, 36_000.0, "occupancy"),
+        ]
+        lanes = [_engine(*c) for c in configs]
+        assert batch_compatible(lanes) is None
+        batched = BatchEngine(lanes).run()
+        one_lane = [BatchEngine([_engine(*c)]).run()[0] for c in configs]
+        assert _json(batched) == _json(one_lane)
+        assert _json(batched) == _json(_engine(*c).run() for c in configs)
+        assert [r.info.get("llc", {}).get("model") for r in batched] == [
+            None, "occupancy", "occupancy", "occupancy",
+        ]
+
+    def test_mismatched_machine_is_incompatible(self):
+        lane = _engine("wl1", "cfs", 1)
+        lane.smt_efficiency = 0.6
         reason = batch_compatible([_engine("wl1", "cfs", 2), lane])
-        assert reason is not None and "llc" in reason.lower()
+        assert reason == "smt_efficiency mismatch"
         with pytest.raises(ValueError):
             BatchEngine([_engine("wl1", "cfs", 2), lane])
 
@@ -151,6 +189,62 @@ class TestCompatibility:
             batch_compatible([_engine("wl1", "cfs", 1), _engine("wl7", "dike", 2)])
             is None
         )
+
+
+class _SwapOnceStatic(StaticScheduler):
+    """Static pinning that swaps tids 0 and 1 once: its own ``decide``
+    replaces the never-acting one, so the engine must call it."""
+
+    def decide(self, counters, placement):
+        if getattr(self, "_swapped", False) or not {0, 1} <= set(placement):
+            return ()
+        self._swapped = True
+        return (Swap(0, 1),)
+
+
+class _SwapOnceCFS(CFSScheduler):
+    """CFS that swaps tids 0 and 1 once, then rebalances as usual."""
+
+    def decide(self, counters, placement):
+        if getattr(self, "_swapped", False) or not {0, 1} <= set(placement):
+            return super().decide(counters, placement)
+        self._swapped = True
+        return (Swap(0, 1),)
+
+
+class TestSubclassDecisions:
+    """A subclass overriding a gated ``decide`` is called every quantum,
+    by the scalar engine and inside a batch alike."""
+
+    @staticmethod
+    def _lane(scheduler, seed: int = 1):
+        spec = workload("wl1")
+        return SimulationEngine(
+            topology=xeon_e5_heterogeneous(),
+            groups=spec.build(seed=seed, work_scale=0.02),
+            scheduler=scheduler,
+            seed=seed,
+            workload_name=spec.name,
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: _SwapOnceStatic(quantum_s=0.1), lambda: _SwapOnceCFS(0.1)],
+        ids=["static", "cfs"],
+    )
+    def test_overridden_decide_survives_batching(self, make):
+        scalar = self._lane(make()).run()
+        batched = BatchEngine(
+            [self._lane(make()), self._lane(make(), seed=2)]
+        ).run()[0]
+        assert run_result_to_full_json(batched) == run_result_to_full_json(scalar)
+        assert scalar.swap_count == 1
+        assert make().decide_gate() is None
+
+    def test_base_policies_keep_their_gates(self):
+        assert StaticScheduler().decide_gate() is not None
+        assert CFSScheduler().decide_gate() is not None
+        assert REGISTRY.factory("dike")().decide_gate() is None
 
 
 class TestTraceByteIdentity:

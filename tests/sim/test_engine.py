@@ -60,6 +60,30 @@ class TestBasicExecution:
         assert result.n_quanta == pytest.approx(result.makespan_s / 0.1, abs=2)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("smt_efficiency", [0.05, 0.8, 1.0])
+    def test_out_of_range_smt_efficiency_rejected_at_build(
+        self, smt_efficiency, tiny_workload, small_topology
+    ):
+        # The SMT model adds up to 0.25 of a stalled sibling's share on
+        # top of the base share, so only [0.1, 0.75] fits in one core.
+        with pytest.raises(ValueError, match="smt_efficiency"):
+            SimulationEngine(
+                topology=small_topology,
+                groups=tiny_workload.build(seed=1, work_scale=0.01),
+                scheduler=StaticScheduler(),
+                smt_efficiency=smt_efficiency,
+            )
+
+    def test_smt_efficiency_bounds_accepted(self, tiny_workload, small_topology):
+        for smt_efficiency in (0.1, 0.75):
+            result = quick_run(
+                tiny_workload, StaticScheduler(), small_topology,
+                smt_efficiency=smt_efficiency,
+            )
+            assert result.info["smt_efficiency"] == smt_efficiency
+
+
 class TestPhysicalSanity:
     def test_fast_core_finishes_first_without_contention(self, small_topology):
         """A compute benchmark spread over fast+slow cores shows the freq gap."""

@@ -362,3 +362,75 @@ class TestSolveConvergence:
         sys_.solve(*args)
         warm = sys_.last_iterations
         assert warm <= cold
+
+
+@st.composite
+def lane_batches(draw):
+    """1–5 lanes of solve inputs (a lane may be empty), each with its own
+    warm-start utilisation."""
+    lanes = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            empty = np.zeros(0)
+            inputs = (empty, empty, empty, np.zeros(0, dtype=np.int64))
+        else:
+            inputs = draw(solve_inputs())
+        warm = draw(st.floats(0.0, 1.5, allow_nan=False))
+        lanes.append((inputs, warm))
+    return lanes
+
+
+class TestSegmentedSolve:
+    """Lanes solved together equal each lane solved alone, bit for bit,
+    and every lane's allocation respects both capacity families (psim's
+    ``total_allocated <= total_available``)."""
+
+    SOCKETS = np.array([1e8, 5e7])
+    CONTROLLER = 1.2e8
+
+    def _system(self, warm: float) -> MemorySystem:
+        system = MemorySystem(self.SOCKETS, self.CONTROLLER)
+        system.last_utilization = warm
+        return system
+
+    @settings(max_examples=80, deadline=None)
+    @given(lane_batches())
+    def test_lanes_solved_together_equal_one_lane_solves(self, lanes):
+        alone = []
+        for inputs, warm in lanes:
+            system = self._system(warm)
+            access, ips = system.solve(*inputs)
+            alone.append((access, ips, system.last_utilization, system.last_iterations))
+
+        systems = [self._system(warm) for _, warm in lanes]
+        bounds = np.zeros(len(lanes) + 1, dtype=np.int64)
+        np.cumsum([inputs[0].size for inputs, _ in lanes], out=bounds[1:])
+        stacked = [np.concatenate(cols) for cols in zip(*(i for i, _ in lanes))]
+        access, ips = systems[0].solve(*stacked, bounds=bounds, lanes=systems)
+
+        # The water level is a floating-point quotient, so a capped total
+        # may exceed its capacity by rounding.
+        tol = 1.0 + 1e-9
+        for r, (inputs, _) in enumerate(lanes):
+            seg = slice(bounds[r], bounds[r + 1])
+            a, i, util, iters = alone[r]
+            assert access[seg].tobytes() == a.tobytes()
+            assert ips[seg].tobytes() == i.tobytes()
+            assert systems[r].last_utilization == util
+            assert systems[r].last_iterations == iters
+            per_socket = np.bincount(
+                inputs[3], weights=access[seg], minlength=self.SOCKETS.size
+            )
+            assert np.all(per_socket <= self.SOCKETS * tol)
+            assert access[seg].sum() <= self.CONTROLLER * tol
+
+    def test_empty_lane_keeps_its_state(self):
+        busy, idle = self._system(0.2), self._system(0.7)
+        idle.last_iterations = 3
+        n = 4
+        busy.solve(
+            np.full(n, 2e9), np.ones(n), np.full(n, 0.02),
+            np.zeros(n, dtype=np.int64), bounds=[0, n, n], lanes=[busy, idle],
+        )
+        assert busy.last_iterations >= 1
+        assert (idle.last_utilization, idle.last_iterations) == (0.7, 3)
