@@ -7,7 +7,9 @@ Layout under the store root::
 
 Artifacts are written atomically (a per-writer tmp file + ``os.replace``)
 so a killed campaign never leaves a truncated object behind and two
-campaigns sharing a store may write one key at once.  Reads validate the
+campaigns sharing a store may write one key at once.  Objects get the
+index's mode (``0o666`` less the umask), so a group that can read a
+shared cache directory's index can read its objects too.  Reads validate the
 schema version — a stale or undecodable artifact is a *miss*, never an
 error.  The JSONL index exists for humans and tooling (``wc -l``, grep by
 workload/policy); the objects directory alone is authoritative.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 from repro.campaign.spec import TaskSpec
@@ -79,9 +81,7 @@ class ResultStore:
             doc["info"] = dict(info)
             doc["info"]["traffic"] = traffic
         payload = json.dumps(doc, sort_keys=True, allow_nan=False)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
-        )
+        fd, tmp = _create_tmp(path)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)
@@ -110,3 +110,15 @@ class ResultStore:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.objects.glob("*/*.json"))
+
+
+def _create_tmp(path: Path) -> tuple[int, Path]:
+    """Open a new file beside ``path`` under a name only this writer
+    uses, with mode ``0o666`` less the umask (``mkstemp`` would make it
+    ``0o600``)."""
+    while True:
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+        try:
+            return os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666), tmp
+        except FileExistsError:
+            continue

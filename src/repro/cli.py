@@ -87,6 +87,7 @@ from repro.experiments.runner import run_policies
 from repro.metrics.fairness import fairness
 from repro.metrics.performance import speedup
 from repro.util.rng import DEFAULT_SEED
+from repro.util.stats import left_sum
 from repro.util.tables import format_table
 from repro.workloads.suite import WORKLOAD_TABLE, workload
 
@@ -1466,7 +1467,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             if fair_vals:
                 rows.append([
                     p,
-                    float(sum(fair_vals) / len(fair_vals)),
+                    float(left_sum(fair_vals) / len(fair_vals)),
                     geometric_mean(speed_vals),
                     len(fair_vals),
                 ])

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import warnings
 
+import numpy as np
+
 from repro.core.config import AdaptationGoal, DikeConfig
 from repro.core.decider import Decider
 from repro.core.migrator import Migrator
@@ -85,9 +87,8 @@ class OptimizerStage(Stage):
         if new_cfg is not pipeline.config:
             pipeline._set_config(new_cfg, state.counters.quantum_index)
         # Finished threads drop out of `placement`; forget their cooldowns.
-        for tid in list(pipeline.decider._last_swap):
-            if tid not in state.placement:
-                pipeline.decider.forget_thread(tid)
+        for tid in pipeline.decider._last_swap.keys() - state.placement.keys():
+            pipeline.decider.forget_thread(tid)
 
 
 class SelectorStage(Stage):
@@ -97,7 +98,9 @@ class SelectorStage(Stage):
 
     def run(self, pipeline: "DikeScheduler", state: StageState) -> None:
         with pipeline.stage_timer(self):
-            state.pairs = pipeline.selector.select(state.report, state.placement)
+            state.pairs = pipeline.selector.select_columns(
+                state.report, *pipeline.placement_columns(state.placement)
+            )
 
 
 class PredictorStage(Stage):
@@ -150,16 +153,16 @@ class PersistencePredictorStage(Stage):
 
     def run(self, pipeline: "DikeScheduler", state: StageState) -> None:
         with pipeline.stage_timer(self):
-            rates = state.report.access_rate
+            rate_of = state.report.rate_of
             state.predictions = [
                 PairPrediction(
                     pair=pair,
                     profit_l=0.0,
                     profit_h=0.0,
-                    predicted_rate_l=rates.get(pair.t_l, 0.0),
-                    predicted_rate_h=rates.get(pair.t_h, 0.0),
-                    current_rate_l=rates.get(pair.t_l, 0.0),
-                    current_rate_h=rates.get(pair.t_h, 0.0),
+                    predicted_rate_l=rate_of(pair.t_l),
+                    predicted_rate_h=rate_of(pair.t_h),
+                    current_rate_l=rate_of(pair.t_l),
+                    current_rate_h=rate_of(pair.t_h),
                 )
                 for pair in state.pairs
             ]
@@ -248,10 +251,14 @@ class DikeScheduler(StagePipeline):
             self.decider, self.migrator, self.optimizer,
         ):
             component.bus = context.bus
-        #: tid -> (quantum_index_of_prediction, time_s, predicted_rate)
-        self._pending: dict[int, tuple[int, float, float]] = {}
-        #: the prediction log's columns, one entry per back-filled record
+        #: predictions awaiting their measurement, as columns (tid, quantum
+        #: index, time, predicted rate) in registration order; a tid
+        #: registered again keeps its place, as in a dict
+        self._pending: tuple[np.ndarray, ...] = _NO_PENDING
+        #: the prediction log's columns, one array chunk per back-fill
         self._log: tuple[list, ...] = ([], [], [], [], [])
+        #: this decision's placement and its columns (placement_columns)
+        self._placed: tuple | None = None
         #: (quantum_index, swap_size, quanta_length_s) adaptation trajectory
         self._config_history: list[tuple[int, int, float]] = [
             (0, self.config.swap_size, self.config.quanta_length_s)
@@ -269,6 +276,20 @@ class DikeScheduler(StagePipeline):
         # Anchor this decision cycle's events to the quantum whose
         # counters drive it; stages stamp their events from `bus.now`.
         self.bus.at(state.counters.quantum_index, state.counters.time_s)
+        self._placed = None
+
+    def placement_columns(self, placement: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """``placement`` as aligned ``(tids, vcores)`` arrays, built once
+        per decision however many stages ask."""
+        placed = self._placed
+        if placed is None or placed[0] is not placement:
+            n = len(placement)
+            placed = self._placed = (
+                placement,
+                np.fromiter(placement, np.int64, n),
+                np.fromiter(placement.values(), np.int64, n),
+            )
+        return placed[1], placed[2]
 
     def end_quantum(self, state: StageState) -> None:
         # Register next-quantum predictions for every live thread — the
@@ -279,29 +300,25 @@ class DikeScheduler(StagePipeline):
         # thread's own demand (a compute thread will not consume a fast
         # core's entire memory bandwidth no matter where it lands).
         counters, report, placement = state.counters, state.report, state.placement
-        demand = report.demand_estimate or {}
-        for tid in placement:
-            rate = report.access_rate.get(tid)
-            if rate is not None and rate > 0.0:
-                self._pending[tid] = (
-                    counters.quantum_index,
-                    counters.time_s,
-                    rate,
-                )
+        tids, _ = self.placement_columns(placement)
+        rates = report.rate_by_tid[report.tid_slots(tids)]
+        measured = rates > 0.0
+        self._pend(tids[measured], rates[measured], counters)
+        moved: dict[int, float] = {}
         for pred in state.accepted:
-            for tid, dest_bw in (
-                (pred.pair.t_l, report.core_bw.get(placement[pred.pair.t_h])),
-                (pred.pair.t_h, report.core_bw.get(placement[pred.pair.t_l])),
+            for tid, dest in (
+                (pred.pair.t_l, placement[pred.pair.t_h]),
+                (pred.pair.t_h, placement[pred.pair.t_l]),
             ):
-                moved_case = dest_bw if dest_bw is not None else float("nan")
-                bound = demand.get(tid, float("inf"))
-                predicted = min(moved_case, bound)
+                predicted = min(report.core_bw_of(dest), report.demand_of(tid))
                 if predicted == predicted:  # not NaN
-                    self._pending[tid] = (
-                        counters.quantum_index,
-                        counters.time_s,
-                        max(predicted - self.predictor.overhead(predicted), 0.0),
-                    )
+                    moved[tid] = max(predicted - self.predictor.overhead(predicted), 0.0)
+        if moved:
+            self._pend(
+                np.fromiter(moved, np.int64, len(moved)),
+                np.fromiter(moved.values(), np.float64, len(moved)),
+                counters,
+            )
 
     # ------------------------------------------------------------ internals
 
@@ -315,30 +332,57 @@ class DikeScheduler(StagePipeline):
             (quantum_index, cfg.swap_size, cfg.quanta_length_s)
         )
 
+    def _pend(self, tids: np.ndarray, predicted: np.ndarray, counters) -> None:
+        """Register ``predicted[i]`` for ``tids[i]`` (distinct tids) at this
+        quantum, as ``pending[tid] = ...`` would: a tid already pending
+        keeps its place and takes the new values, the others append."""
+        book = self._pending
+        if book[0].size:
+            at = _positions(book[0], tids)
+            known = at >= 0
+            if np.count_nonzero(known):
+                rows = at[known]
+                book[1][rows] = counters.quantum_index
+                book[2][rows] = counters.time_s
+                book[3][rows] = predicted[known]
+                tids, predicted = tids[~known], predicted[~known]
+        if not tids.size:
+            return
+        quantum_index, time_s = np.empty(tids.size, np.int64), np.empty(tids.size)
+        quantum_index.fill(counters.quantum_index)
+        time_s.fill(counters.time_s)
+        new = (tids, quantum_index, time_s, predicted)
+        if book[0].size:
+            new = tuple(map(np.concatenate, zip(book, new)))
+        self._pending = new
+
     def _backfill_predictions(self, counters, report) -> None:
         """Match predictions from the previous quantum with measurements."""
-        time_s, quantum_index, tids, predicted_rate, actual_rate = self._log
-        done: list[int] = []
-        for tid, (q, t, predicted) in self._pending.items():
-            if counters.quantum_index <= q:
-                continue
-            actual = report.access_rate.get(tid)
-            if actual is not None and actual > 0.0:
-                time_s.append(t)
-                quantum_index.append(q)
-                tids.append(tid)
-                predicted_rate.append(predicted)
-                actual_rate.append(actual)
-                if self.metrics is not None:
-                    self.metrics.histogram("dike.prediction_abs_rel_error").observe(
-                        abs(predicted - actual) / actual
-                    )
-            done.append(tid)
-        for tid in done:
-            self._pending.pop(tid, None)
+        tids, quantum_index, time_s, predicted = self._pending
+        if not tids.size:
+            return
+        due = quantum_index < counters.quantum_index
+        actual = report.rate_by_tid[report.tid_slots(tids)]
+        scored = due & (actual > 0.0)
+        records = (time_s, quantum_index, tids, predicted, actual)
+        if np.count_nonzero(scored) < tids.size:
+            records = tuple(column[scored] for column in records)
+        for column, values in zip(self._log, records):
+            column.append(values)
+        if self.metrics is not None:
+            histogram = self.metrics.histogram("dike.prediction_abs_rel_error")
+            for p, a in zip(records[3].tolist(), records[4].tolist()):
+                histogram.observe(abs(p - a) / a)
+        # The book is replaced, never written again: the log may share it.
+        if np.count_nonzero(due) == tids.size:
+            self._pending = _NO_PENDING
+        else:
+            self._pending = tuple(column[~due] for column in self._pending)
 
     def drain_prediction_records(self) -> PredictionLog:
-        log = PredictionLog(*self._log)
+        log = PredictionLog(
+            *(np.concatenate(chunks) if chunks else () for chunks in self._log)
+        )
         self._log = ([], [], [], [], [])
         return log
 
@@ -349,6 +393,19 @@ class DikeScheduler(StagePipeline):
         if history is not None:
             info["config_history"] = tuple(history)
         return info
+
+
+#: an empty book of pending predictions (see ``DikeScheduler._pending``)
+_NO_PENDING = (
+    np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0)
+)
+
+
+def _positions(book: np.ndarray, tids: np.ndarray) -> np.ndarray:
+    """Index of each of ``tids`` in ``book`` (distinct tids), -1 if absent."""
+    order = book.argsort()
+    at = order[np.minimum(book.searchsorted(tids, sorter=order), book.size - 1)]
+    return np.where(book[at] == tids, at, -1)
 
 
 # -------------------------------------------------- deprecated factories

@@ -40,6 +40,8 @@ stateless-by-convention shared singletons (see `repro.schedulers.pipeline`).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import DikeConfig
 from repro.core.decider import Decider
 from repro.core.dike import DIKE_STAGES, DikeScheduler, MigratorStage, SelectorStage
@@ -102,18 +104,27 @@ class ClusterPartitioner:
         for idx, run in enumerate(self.socket_runs):
             for sid in run:
                 socket_cluster[sid] = idx
-        #: vcore id -> cluster index (plain list: fastest scalar lookup)
+        #: vcore id -> cluster index
         self.vcore_cluster: list[int] = [
             socket_cluster[int(s)] for s in topology.vcore_socket
         ]
+        self._cluster_of = np.array(self.vcore_cluster, dtype=np.int64)
 
     def members(self, placement: dict[int, int]) -> list[list[int]]:
         """Cluster membership of every placed thread, from its vcore."""
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        vcore_cluster = self.vcore_cluster
-        for tid, vcore in placement.items():
-            out[vcore_cluster[vcore]].append(tid)
-        return out
+        n = len(placement)
+        return self.members_of(
+            np.fromiter(placement, np.int64, n),
+            np.fromiter(placement.values(), np.int64, n),
+        )
+
+    def members_of(self, tids: np.ndarray, vcores: np.ndarray) -> list[list[int]]:
+        """:meth:`members` of a placement given as aligned arrays: each
+        cluster's tids in placement order."""
+        cluster = self._cluster_of[vcores]
+        grouped = tids[cluster.argsort(kind="stable")].tolist()
+        ends = np.add.accumulate(np.bincount(cluster, minlength=self.k)).tolist()
+        return [grouped[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 class InterClusterRebalancer:
@@ -245,7 +256,9 @@ class ClusterStage(Stage):
             pipeline._cluster_members = None
             return
         with pipeline.stage_timer(self):
-            members = partitioner.members(state.placement)
+            members = partitioner.members_of(
+                *pipeline.placement_columns(state.placement)
+            )
         pipeline._cluster_members = members
         if pipeline.bus.enabled:
             for idx, tids in enumerate(members):
@@ -278,11 +291,16 @@ class HierSelectorStage(Stage):
         with pipeline.stage_timer(self):
             members = pipeline._cluster_members
             if members is None:
-                state.pairs = pipeline.selector.select(state.report, state.placement)
+                state.pairs = pipeline.selector.select_columns(
+                    state.report, *pipeline.placement_columns(state.placement)
+                )
                 return
-            idx = state.counters.quantum_index % len(members)
-            sub = {t: state.placement[t] for t in members[idx]}
-            pairs = pipeline.selector.select(state.report, sub)
+            tids = members[state.counters.quantum_index % len(members)]
+            pairs = pipeline.selector.select_columns(
+                state.report,
+                np.array(tids, dtype=np.int64),
+                np.fromiter(map(state.placement.__getitem__, tids), np.int64, len(tids)),
+            )
             state.pairs = pairs[: pipeline.config.n_pairs]
 
 

@@ -37,13 +37,17 @@ group's internal dispersion by its share of total traffic measures exactly
 what Dike can fix: unequal memory progress among sibling threads that
 actually use memory.  (Group membership is OS-visible — it is the
 process/tgid of each thread.)
+
+The report is columnar (:class:`ObserverReport`): arrays indexed by tid
+and by vcore, which Dike's own stages read directly.  The per-thread
+dicts of earlier versions remain as views, built on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from typing import Mapping
 
 import numpy as np
 
@@ -55,9 +59,16 @@ from repro.obs.events import (
     ObserverSample,
 )
 from repro.sim.counters import QuantumCounters
-from repro.util.stats import coefficient_of_variation
+from repro.util.stats import coefficient_of_variation, left_sums
 
-__all__ = ["classify", "classify_column", "ObserverReport", "Observer"]
+__all__ = [
+    "classify",
+    "classify_column",
+    "NO_GROUP",
+    "ObserverReport",
+    "Observer",
+    "GroupLayout",
+]
 
 
 def classify(miss_rate: float, threshold: float) -> str:
@@ -82,10 +93,42 @@ def classify_column(miss_rates: np.ndarray, threshold: float) -> np.ndarray:
 #: class name by ``classify_column`` value (index 0 = ``False``)
 _CLASS_NAMES = np.array(["C", "M"], dtype=object)
 
+#: ``ObserverReport.group_by_tid`` of a thread outside every process group
+NO_GROUP = int(np.iinfo(np.int64).min)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ObserverReport:
     """The Observer's per-quantum digest consumed by Selector/Predictor.
+
+    The report is columnar.  Dike's stages read these arrays:
+
+    ``tids``
+        The sampled tids in counter-row order (a tid that hit a barrier
+        mid-quantum has two rows).
+    ``rate_by_tid``, ``miss_by_tid``, ``is_m_by_tid``, ``present_by_tid``
+        Access rate, LLC miss rate, memory-intensive (``"M"``) mask and
+        presence, indexed by tid.  A tid with two rows reads as its last.
+    ``demand_by_tid``
+        Demand estimate by tid; ``inf`` for a thread never seen active.
+    ``group_by_tid``
+        Process group by tid; :data:`NO_GROUP` outside ``group_of``.
+    ``bw_by_vcore``, ``high_by_vcore``
+        CoreBW estimate and high-bandwidth mask, indexed by vcore.
+
+    A tid-indexed column has one entry more than the largest tid it
+    covers, a vcore-indexed one one entry more than the largest vcore.
+    That last entry is the *absent* entry: rate and miss rate 0, not
+    present, class ``"C"``, demand ``inf``, no group, CoreBW ``nan``, not
+    high.  :meth:`tid_slots` and :meth:`vcore_slots` send any id a
+    column does not cover (negative or too large) to it.
+
+    The fields below are views of the columns, built on first read with
+    the keys, key order and values the Observer has always reported.
+    A report constructed from these fields (hand-made reports, or the
+    ``dataclasses.replace`` copy ``dike-lms`` makes) keeps them as its
+    views and derives the columns from them; tids and vcores must then
+    be non-negative.
 
     Attributes
     ----------
@@ -101,45 +144,211 @@ class ObserverReport:
         Set of vcores currently identified as high-bandwidth.
     fairness:
         Dike's ``getSystemFairness()`` value (lower = fairer).
+    group_of:
+        tid -> process group, or ``None`` without groups.
+    demand_estimate:
+        tid -> decaying peak of the thread's access rate, in order of
+        first activity.
     cache_occupancy:
         tid -> allocated LLC share (MB) when the run uses an active
         cache backend (`repro.sim.llc`); ``None`` under the default
         ``NullLLC``.  Cache-aware policies (lfoc/bliss) read this.
     """
 
+    # No class-level defaults: a view missing from the instance is built
+    # by ``__getattr__``.
     access_rate: dict[int, float]
     miss_rate: dict[int, float]
     classification: dict[int, str]
     core_bw: dict[int, float]
     high_bw_cores: frozenset[int]
     fairness: float
-    group_of: dict[int, int] | None = None
-    demand_estimate: dict[int, float] | None = None
-    cache_occupancy: dict[int, float] | None = None
+    group_of: dict[int, int] | None
+    demand_estimate: dict[int, float] | None
+    cache_occupancy: dict[int, float] | None
+
+    def __init__(
+        self,
+        access_rate: Mapping[int, float],
+        miss_rate: Mapping[int, float],
+        classification: Mapping[int, str],
+        core_bw: Mapping[int, float],
+        high_bw_cores: frozenset[int],
+        fairness: float,
+        group_of: dict[int, int] | None = None,
+        demand_estimate: Mapping[int, float] | None = None,
+        cache_occupancy: Mapping[int, float] | None = None,
+    ) -> None:
+        """A report from per-thread dicts; the columns are derived here."""
+        rate_ids, miss_ids, class_ids, demand_ids = (
+            _ids(m, "tid")
+            for m in (access_rate, miss_rate, classification, demand_estimate or {})
+        )
+        n = 1 + max(
+            (int(k.max()) for k in (rate_ids, miss_ids, class_ids, demand_ids) if k.size),
+            default=-1,
+        )
+        rate, miss = np.zeros(n + 1), np.zeros(n + 1)
+        present, is_m = np.zeros(n + 1, bool), np.zeros(n + 1, bool)
+        demand = np.full(n + 1, np.inf)
+        rate[rate_ids] = list(access_rate.values())
+        present[rate_ids] = True
+        miss[miss_ids] = list(miss_rate.values())
+        is_m[class_ids] = [c == "M" for c in classification.values()]
+        if demand_estimate:
+            demand[demand_ids] = list(demand_estimate.values())
+        vcore_ids, high_ids = _ids(core_bw, "vcore"), _ids(high_bw_cores, "vcore")
+        n_vcores = 1 + max(
+            (int(k.max()) for k in (vcore_ids, high_ids) if k.size), default=-1
+        )
+        bw = np.full(n_vcores + 1, np.nan)
+        bw[vcore_ids] = list(core_bw.values())
+        high = np.zeros(n_vcores + 1, bool)
+        high[high_ids] = True
+        self.__dict__.update(
+            access_rate=access_rate,
+            miss_rate=miss_rate,
+            classification=classification,
+            core_bw=core_bw,
+            high_bw_cores=high_bw_cores,
+            fairness=fairness,
+            group_of=group_of,
+            demand_estimate=demand_estimate,
+            cache_occupancy=cache_occupancy,
+            tids=rate_ids,
+            rate_by_tid=rate,
+            miss_by_tid=miss,
+            is_m_by_tid=is_m,
+            present_by_tid=present,
+            demand_by_tid=demand,
+            group_by_tid=_group_column(group_of, n),
+            bw_by_vcore=bw,
+            high_by_vcore=high,
+            _n_classified=len(classification),
+        )
+
+    @classmethod
+    def of_columns(cls, **fields) -> "ObserverReport":
+        """A report holding ``fields``: ``fairness``, ``group_of`` and the
+        columns above, plus what the views are built from —
+        ``_demand_order`` (the tids of ``demand_estimate`` in order of
+        first activity), ``_cache_rows`` (the counters' ``tid`` and
+        ``cache_mb`` columns) and ``_n_classified`` (distinct tids).  The
+        arrays are shared, not copied: none may change afterwards."""
+        report = cls.__new__(cls)
+        report.__dict__.update(fields)
+        return report
+
+    def __getattr__(self, name: str):
+        build = _VIEWS.get(name)
+        if build is None or "tids" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        value = self.__dict__[name] = build(self)
+        return value
+
+    # ----------------------------------------------------------- lookups
+
+    def tid_slots(self, tids: np.ndarray) -> np.ndarray:
+        """Index of each tid into the tid-indexed columns."""
+        return np.minimum(np.maximum(tids, -1), self.rate_by_tid.size - 1)
+
+    def vcore_slots(self, vcores: np.ndarray) -> np.ndarray:
+        """Index of each vcore into the vcore-indexed columns."""
+        return np.minimum(np.maximum(vcores, -1), self.bw_by_vcore.size - 1)
+
+    def rate_of(self, tid: int) -> float:
+        """``access_rate.get(tid, 0.0)``."""
+        return self.rate_by_tid.item(_slot(tid, self.rate_by_tid.size))
+
+    def core_bw_of(self, vcore: int) -> float:
+        """``core_bw.get(vcore, nan)``."""
+        return self.bw_by_vcore.item(_slot(vcore, self.bw_by_vcore.size))
+
+    def demand_of(self, tid: int) -> float:
+        """``(demand_estimate or {}).get(tid, inf)``."""
+        return self.demand_by_tid.item(_slot(tid, self.demand_by_tid.size))
+
+    # ----------------------------------------------------------- summary
 
     def is_fair(self, threshold: float) -> bool:
         """True when no scheduling action is needed this quantum."""
         return bool(np.isnan(self.fairness)) or self.fairness < threshold
 
     def n_memory(self) -> int:
-        return sum(1 for c in self.classification.values() if c == "M")
+        return int(np.count_nonzero(self.is_m_by_tid))
 
     def n_compute(self) -> int:
-        return sum(1 for c in self.classification.values() if c == "C")
+        return self._n_classified - self.n_memory()
+
+
+def _slot(i: int, size: int) -> int:
+    """Column index of id ``i`` in a column of ``size`` (last = absent)."""
+    return i if 0 <= i < size else -1
+
+
+def _ids(keys, what: str) -> np.ndarray:
+    """The ids ``keys`` iterates, as an array; they must be >= 0."""
+    ids = np.fromiter(keys, np.int64, len(keys))
+    if ids.size and ids.min() < 0:
+        raise ValueError(f"{what}s must be >= 0, got {int(ids.min())}")
+    return ids
+
+
+def _group_column(groups: Mapping[int, int] | None, n: int) -> np.ndarray:
+    """``groups`` as a tid-indexed column over tids ``0..n-1`` plus the
+    absent entry; :data:`NO_GROUP` where a tid has no group."""
+    column = np.full(n + 1, NO_GROUP, dtype=np.int64)
+    if groups:
+        tids = np.fromiter(groups, np.int64, len(groups))
+        inside = (tids >= 0) & (tids < n)
+        column[tids[inside]] = np.fromiter(groups.values(), np.int64, len(groups))[inside]
+    return column
+
+
+def _by_row(report: ObserverReport, column: np.ndarray) -> dict:
+    # dict(zip(...)) keeps a tid at its first row; both rows of a tid
+    # read the same column entry, its last row's.
+    tids = report.tids
+    return dict(zip(tids.tolist(), column[tids].tolist()))
+
+
+def _cache_occupancy(report: ObserverReport) -> dict[int, float] | None:
+    tid, cache_mb = report._cache_rows
+    cached = cache_mb > 0.0
+    if not cached.any():
+        return None
+    return dict(zip(tid[cached].tolist(), cache_mb[cached].tolist()))
+
+
+#: view field -> builder, for reports made by :meth:`ObserverReport.of_columns`
+_VIEWS = {
+    "access_rate": lambda r: _by_row(r, r.rate_by_tid),
+    "miss_rate": lambda r: _by_row(r, r.miss_by_tid),
+    "classification": lambda r: _by_row(r, _CLASS_NAMES[r.is_m_by_tid.astype(np.intp)]),
+    "core_bw": lambda r: dict(enumerate(r.bw_by_vcore[:-1].tolist())),
+    "high_bw_cores": lambda r: frozenset(r.high_by_vcore.nonzero()[0].tolist()),
+    "demand_estimate": lambda r: dict(
+        zip(r._demand_order.tolist(), r.demand_by_tid[r._demand_order].tolist())
+    ),
+    "cache_occupancy": _cache_occupancy,
+}
 
 
 class Observer:
     """Stateful Observer: feed counters, get an :class:`ObserverReport`.
 
     ``update`` works on the counter columns (``QuantumCounters.tid``,
-    ``.vcore``, ...) rather than on per-thread sample objects, and keeps
-    CoreBW as per-vcore arrays.  Every reported number equals the
-    per-sample reading of the module docstring bit for bit; sums run left
-    to right, as a plain Python loop would add them.  Where a tid has two
-    rows (it hit a barrier mid-quantum: an active row, then an idle zero
-    row), the dict views and the CoreBW probe's C/M test use the *last*
-    row, while the fairness signal and the demand estimate use the
-    *active* one.
+    ``.vcore``, ...) rather than on per-thread sample objects, keeps
+    CoreBW as per-vcore arrays and the demand estimate as a tid-indexed
+    array, and returns a columnar report.  Every reported number equals
+    the per-sample reading of the module docstring bit for bit; sums run
+    left to right, as a plain Python loop would add them.  Where a tid
+    has two rows (it hit a barrier mid-quantum: an active row, then an
+    idle zero row), the report's columns and the CoreBW probe's C/M test
+    use the *last* row, while the fairness signal and the demand estimate
+    use the *active* one.  Tids must be non-negative.
     """
 
     def __init__(
@@ -164,108 +373,107 @@ class Observer:
         self.groups = dict(groups) if groups else None
         self.bus = NULL_BUS
         self._window = config.corebw_window
+        n_tids = 1 + max((t for t in self.groups or () if t >= 0), default=-1)
+        #: tid -> process group, built once (grown if a larger tid shows up)
+        self._group_by_tid = _group_column(self.groups, n_tids)
         self.reset()
 
     def reset(self) -> None:
-        #: per-vcore CoreBW windows, newest probe last; an unfilled window
-        #: is zero-padded at the front, which leaves its left-to-right sum
-        #: unchanged
-        self._bw_window = np.zeros((self.n_vcores, self._window))
+        #: per-vcore CoreBW windows, one column per vcore, newest probe in
+        #: the last row; an unfilled window is zero-padded at the top,
+        #: which leaves its left-to-right sum unchanged
+        self._bw_window = np.zeros((self._window, self.n_vcores))
+        self._bw_rows = list(self._bw_window)
         self._bw_count = np.zeros(self.n_vcores, dtype=np.int64)
-        #: per-vcore moving mean of probes, nan until first probed
-        self._bw_mean = np.full(self.n_vcores, np.nan)
+        #: per-vcore moving mean of probes, nan until first probed; the
+        #: last entry is the report's absent vcore and is never probed
+        self._bw_mean = np.full(self.n_vcores + 1, np.nan)
         self._best_probe = float("nan")
+        slots = self._group_by_tid.size
         #: tid -> decaying peak of observed access rate (the thread's
         #: *demand*: what it would consume given an uncontended fast core)
-        self._demand: dict[int, float] = {}
-        #: tid -> previous quantum's classification (for change events)
-        self._prev_class: dict[int, str] = {}
+        self._demand = np.zeros(slots)
+        #: tids seen active, as a mask and in order of first activity
+        self._seen = np.zeros(slots, bool)
+        self._demand_order = np.zeros(0, np.int64)
+        #: the fairness signal's group layout and the active tids it is for
+        self._layout: GroupLayout | None = None
+        self._layout_key: bytes | None = None
+        #: the previous report (for classification-change events)
+        self._prev: ObserverReport | None = None
 
     # ------------------------------------------------------------------ API
 
     def update(self, counters: QuantumCounters) -> ObserverReport:
         """Digest one quantum of counter readings."""
         tid = counters.tid
-        tids = tid.tolist()
+        rows_per_tid = self._rows_per_tid(tid)
+        slots = rows_per_tid.size
         own_rate = counters.access_rate
         rate = counters.ips if self.config.contention_metric == "ipc" else own_rate
         miss = counters.miss_rate
         is_m = classify_column(miss, self.config.classification_miss_threshold)
-        access_rate = dict(zip(tids, rate.tolist()))
-        miss_rate = dict(zip(tids, miss.tolist()))
-        classification = dict(zip(tids, _CLASS_NAMES[is_m.astype(np.intp)].tolist()))
-        cached = counters.cache_mb > 0.0
-        cache_occupancy = (
-            dict(zip(tid[cached].tolist(), counters.cache_mb[cached].tolist()))
-            if cached.any()
-            else None
-        )
 
-        if len(access_rate) < len(tids):
-            # A tid's class is the one of its last row.
-            last_row = dict(zip(tids, range(len(tids))))
-            rows = np.fromiter(map(last_row.__getitem__, tids), np.intp, len(tids))
-            is_m = is_m[rows]
+        present = rows_per_tid.astype(bool)
+        n_tids = np.count_nonzero(rows_per_tid)
+        last_rate, last_miss = rate, miss
+        if n_tids < tid.size:
+            # A tid with two rows reads as its last: every row of a tid
+            # takes the values of that row, so the scatters below write
+            # one value per tid whatever order they run in.  The CoreBW
+            # probe's C/M test reads the last row too.
+            last = np.full(slots, -1)
+            np.maximum.at(last, tid, np.arange(tid.size))
+            rows = last[tid]
+            last_rate, last_miss, is_m = rate[rows], miss[rows], is_m[rows]
+        rate_by_tid = np.zeros(slots)
+        rate_by_tid[tid] = last_rate
+        miss_by_tid = np.zeros(slots)
+        miss_by_tid[tid] = last_miss
+        is_m_by_tid = np.zeros(slots, bool)
+        is_m_by_tid[tid] = is_m
 
         # Barrier-idle threads don't define fairness or demand.
         active = counters.instructions > 0.0
-        self._update_demand(tid[active].tolist(), own_rate[active])
+        active_tids = tid[active]
+        active_own = own_rate[active]
+        self._update_demand(active_tids, active_own)
 
         # Probe-based CoreBW update: only a memory-intensive occupant
         # reveals what its core can deliver.  A vcore outside the machine
-        # (the daemon reports -1 for an unreadable affinity) probes nothing.
+        # (the daemon reports -1 for an unreadable affinity) probes nothing;
+        # as unsigned, a negative vcore is out of range too.
         vcore = counters.vcore
-        probes = is_m & active & (vcore >= 0) & (vcore < self.n_vcores)
-        if probes.any():
+        on_machine = vcore.astype(np.uint64) < self.n_vcores
+        probed = vcore[is_m & active & on_machine]
+        if probed.size:
             bandwidth = np.asarray(counters.core_bandwidth, dtype=np.float64)
-            self._probe(vcore[probes], bandwidth)
-
+            self._probe(probed, bandwidth)
         bw_mean = self._bw_mean
-        bw_values = np.where(np.isfinite(bw_mean), bw_mean, self._best_probe)
-        core_bw = dict(zip(range(self.n_vcores), bw_values.tolist()))
-        high = self._identify_high_bw(bw_values)
-        fairness = self._system_fairness(tid[active], rate[active])
-        if self.bus.enabled:
-            now = self.bus.now
-            self.bus.emit(
-                ObserverSample(
-                    *now,
-                    access_rate=dict(access_rate),
-                    miss_rate=dict(miss_rate),
-                    classification=dict(classification),
-                    core_bw=dict(core_bw),
-                    high_bw_cores=tuple(sorted(high)),
-                )
-            )
-            for t, cls in classification.items():
-                old = self._prev_class.get(t)
-                if old is not None and old != cls:
-                    self.bus.emit(
-                        ClassificationChanged(*now, tid=t, old=old, new=cls)
-                    )
-            self.bus.emit(
-                FairnessComputed(
-                    *now,
-                    value=float(fairness),
-                    threshold=self.config.fairness_threshold,
-                    fair=bool(
-                        np.isnan(fairness)
-                        or fairness < self.config.fairness_threshold
-                    ),
-                )
-            )
-        self._prev_class = classification
-        return ObserverReport(
-            access_rate=access_rate,
-            miss_rate=miss_rate,
-            classification=classification,
-            core_bw=core_bw,
-            high_bw_cores=high,
-            fairness=fairness,
+        bw = np.where(np.isfinite(bw_mean), bw_mean, self._best_probe)
+        bw[-1] = np.nan
+
+        active_rate = active_own if rate is own_rate else rate[active]
+        report = ObserverReport.of_columns(
+            fairness=self._system_fairness(active_tids, active_rate),
             group_of=self.groups,
-            demand_estimate=dict(self._demand),
-            cache_occupancy=cache_occupancy,
+            tids=tid,
+            rate_by_tid=rate_by_tid,
+            miss_by_tid=miss_by_tid,
+            is_m_by_tid=is_m_by_tid,
+            present_by_tid=present,
+            demand_by_tid=np.where(self._seen, self._demand, np.inf),
+            group_by_tid=self._group_by_tid,
+            bw_by_vcore=bw,
+            high_by_vcore=self._identify_high_bw(bw),
+            _demand_order=self._demand_order,
+            _cache_rows=(tid, counters.cache_mb),
+            _n_classified=int(n_tids),
         )
+        if self.bus.enabled:
+            self._emit(report)
+        self._prev = report
+        return report
 
     def core_bw_value(self, vcore: int) -> float:
         """CoreBW estimate: probed moving mean, else the optimistic prior."""
@@ -276,30 +484,92 @@ class Observer:
 
     # ------------------------------------------------------------- internals
 
-    def _update_demand(self, tids: list[int], rates: np.ndarray) -> None:
+    def _rows_per_tid(self, tid: np.ndarray) -> np.ndarray:
+        """Rows of each tid, tid-indexed, with the absent entry last (0).
+
+        Grows the tid-indexed state first when ``tid`` holds a tid it
+        does not cover yet; tids must be non-negative.
+        """
+        slots = self._group_by_tid.size
+        try:
+            counts = np.bincount(tid, minlength=slots)
+        except ValueError:
+            raise ValueError(f"tids must be >= 0, got {int(tid.min())}") from None
+        grow = counts.size + (counts[-1] > 0) - slots
+        if grow > 0:  # pad with absent entries, keeping the absent one last
+            self._group_by_tid = np.concatenate(
+                (self._group_by_tid, np.full(grow, NO_GROUP))
+            )
+            self._demand = np.concatenate((self._demand, np.zeros(grow)))
+            self._seen = np.concatenate((self._seen, np.zeros(grow, bool)))
+            counts = np.bincount(tid, minlength=slots + grow)
+        return counts
+
+    def _emit(self, report: ObserverReport) -> None:
+        now = self.bus.now
+        classification = report.classification
+        self.bus.emit(
+            ObserverSample(
+                *now,
+                access_rate=dict(report.access_rate),
+                miss_rate=dict(report.miss_rate),
+                classification=dict(classification),
+                core_bw=dict(report.core_bw),
+                high_bw_cores=tuple(sorted(report.high_bw_cores)),
+            )
+        )
+        if self._prev is not None:
+            previous = self._prev.classification
+            for t, cls in classification.items():
+                old = previous.get(t)
+                if old is not None and old != cls:
+                    self.bus.emit(ClassificationChanged(*now, tid=t, old=old, new=cls))
+        fairness = report.fairness
+        threshold = self.config.fairness_threshold
+        self.bus.emit(
+            FairnessComputed(
+                *now,
+                value=float(fairness),
+                threshold=threshold,
+                fair=bool(np.isnan(fairness) or fairness < threshold),
+            )
+        )
+
+    def _update_demand(self, tids: np.ndarray, rates: np.ndarray) -> None:
         """``demand[t] = max(rate, 0.75 * demand[t])`` for each active row
         (a tid has at most one)."""
-        demand = self._demand
-        decayed = 0.75 * np.fromiter(
-            map(demand.get, tids, repeat(0.0)), np.float64, len(tids)
-        )
-        demand.update(zip(tids, np.where(decayed > rates, decayed, rates).tolist()))
+        decayed = np.multiply(self._demand[tids], 0.75)
+        self._demand[tids] = np.where(decayed > rates, decayed, rates)
+        seen = self._seen[tids]
+        if np.count_nonzero(seen) < tids.size:
+            fresh = tids[~seen]
+            self._seen[fresh] = True
+            self._demand_order = np.concatenate((self._demand_order, fresh))
 
     def _probe(self, vcores: np.ndarray, bw: np.ndarray) -> None:
         """Fold one probe per entry of ``vcores`` (row order) into CoreBW."""
-        top = float(bw[vcores].max())
+        top = np.maximum.reduce(bw[vcores]).item()
         if not math.isfinite(self._best_probe) or top > self._best_probe:
             self._best_probe = top
         hits = np.bincount(vcores, minlength=self.n_vcores)
-        probed = np.flatnonzero(hits)
+        probed = hits.nonzero()[0]
         window = self._bw_window
-        for k in range(int(hits.max())):  # a vcore probed twice shifts twice
-            rows = probed if k == 0 else np.flatnonzero(hits > k)
-            window[rows, :-1] = window[rows, 1:]
-            window[rows, -1] = bw[rows]
-        count = np.minimum(self._bw_count[probed] + hits[probed], self._window)
-        self._bw_count[probed] = count
-        self._bw_mean[probed] = _left_sums(window[probed]) / count
+        # a vcore probed twice shifts twice
+        twice = probed.size < vcores.size
+        for k in range(int(np.maximum.reduce(hits)) if twice else 1):
+            cols = (hits > k).nonzero()[0] if k else probed
+            window[:-1, cols] = window[1:, cols]
+            window[-1, cols] = bw[cols]
+        count = self._bw_count
+        np.add(count, hits, out=count)
+        np.minimum(count, self._window, out=count)
+        # Window rows add oldest first, each over every vcore at once; an
+        # unprobed vcore's mean comes out as it was.
+        rows = self._bw_rows
+        total = rows[0] + 0.0
+        for row in rows[1:]:
+            total += row
+        np.divide(total, count, out=self._bw_mean[:-1], where=count > 0)
 
     def _system_fairness(self, tids: np.ndarray, rates: np.ndarray) -> float:
         """Bandwidth-weighted mean of per-group access-rate cv.
@@ -312,42 +582,34 @@ class Observer:
             return float("nan")
         if self.groups is None:
             return coefficient_of_variation(rates)
-        gid = np.fromiter(
-            map(self.groups.get, tids.tolist(), repeat(-1)), np.int64, tids.size
-        )
-        n_groups, buckets, first_seen = _group_layout(gid)
-        sums = np.empty(n_groups)
-        cv = np.full(n_groups, np.nan)
-        for same, index in buckets:
-            rows = rates[index]
-            sums[same] = _left_sums(rows)
-            if index.shape[1] >= 2:
-                mean = rows.mean(axis=1)
-                group_cv = np.full(same.size, np.nan)
-                np.divide(
-                    rows.std(axis=1), np.abs(mean), out=group_cv, where=mean != 0.0
-                )
-                cv[same] = group_cv
-        # Sums run over the groups in order of first appearance.
-        sums, cv = sums[first_seen], cv[first_seen]
-        total = float(_left_sums(sums))
+        key = tids.tobytes()
+        if key != self._layout_key:  # the active threads changed
+            gid = self._group_by_tid[tids]
+            gid[gid == NO_GROUP] = -1  # threads without a group share one
+            self._layout, self._layout_key = GroupLayout(gid), key
+        sums, cv = self._layout.sums_and_cv(rates)
+        total = left_sums(sums).item()
         if total <= 0.0:
             return 0.0  # nobody is using memory: trivially fair
         counted = np.isfinite(cv)  # size-1 groups carry no dispersion
-        if not counted.any():
+        n_counted = np.count_nonzero(counted)
+        if not n_counted:
             return 0.0
-        return float(_left_sums(sums[counted] / total * cv[counted]))
+        if n_counted < cv.size:
+            sums, cv = sums[counted], cv[counted]
+        return left_sums(sums / total * cv).item()
 
-    def _identify_high_bw(self, core_bw: np.ndarray) -> frozenset[int]:
+    def _identify_high_bw(self, core_bw: np.ndarray) -> np.ndarray:
         """Median split of capability estimates over all cores.
 
         Unprobed (optimistic) cores sit at the best probed value, so they
         land in the high half and attract exploration.
         """
         finite = np.isfinite(core_bw)
-        if not finite.any():
-            return frozenset()
-        ordered = np.sort(core_bw[finite])
+        ordered = core_bw[finite]
+        if not ordered.size:
+            return finite
+        ordered.sort()
         mid = ordered.size // 2
         if ordered.size % 2:
             median = ordered[mid]
@@ -356,36 +618,80 @@ class Observer:
         # ">= median and > min" keeps the split meaningful when estimates
         # tie at the top (e.g. many optimistically-initialised cores) and
         # returns the empty set when every core looks identical.
-        high = finite & (core_bw >= median) & (core_bw > ordered[0])
-        return frozenset(np.flatnonzero(high).tolist())
+        return finite & (core_bw >= median) & (core_bw > ordered[0])
 
 
-def _group_layout(gid: np.ndarray) -> tuple:
+class GroupLayout:
     """How rows with group ids ``gid`` stack by group.
 
-    Returns ``(n_groups, buckets, first_seen)``.  Groups are numbered in
-    group-id order; each bucket holds the groups of one size as ``(group
-    numbers, row-index matrix)``, a group's rows in row order, so the
-    row-wise mean/std of the gathered matrix equal the 1-D results of
-    ``coefficient_of_variation``.  ``first_seen`` orders the groups by
-    their first row.
+    Groups are numbered in order of their first row.  Each group is one
+    row of the padded matrix ``index``: its rows in row order, then
+    ``gid.size`` as padding.  The matrix keeps the groups sorted by size,
+    so the groups of one size form a bucket of consecutive matrix rows,
+    and a row-wise reduction over a bucket of gathered values equals the
+    1-D reduction over each group's values.
     """
-    order = np.argsort(gid, kind="stable")
-    ordered = gid[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    sizes = np.diff(np.append(starts, gid.size))
-    buckets = []
-    for size in np.unique(sizes).tolist():
-        same = np.flatnonzero(sizes == size)
-        buckets.append((same, order[starts[same, None] + np.arange(size)]))
-    return sizes.size, buckets, np.argsort(order[starts])
+
+    def __init__(self, gid: np.ndarray) -> None:
+        n = gid.size
+        order = gid.argsort(kind="stable")
+        ordered = gid[order]
+        starts = np.concatenate(([0], (ordered[1:] != ordered[:-1]).nonzero()[0] + 1))
+        sizes = np.concatenate((starts[1:], [n])) - starts
+        first_rows = order[starts]
+        stored = np.lexsort((first_rows, sizes))  # by size, then first row
+        sizes, starts = sizes[stored], starts[stored]
+        cols = np.arange(sizes[-1])
+        index = order[np.minimum(starts[:, None] + cols, n - 1)]
+        index[cols >= sizes[:, None]] = n
+        self.index = index
+        #: matrix row of each group, by group number
+        self.by_number = first_rows[stored].argsort()
+        #: group sizes, by group number
+        self.sizes = sizes[self.by_number]
+        self._row_sizes = sizes
+        bounds = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), sizes.size]
+        #: ``(first row, end row, size)`` of every bucket of groups of size >= 2
+        self.buckets = [
+            (lo, hi, int(sizes[lo]))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if sizes[lo] >= 2
+        ]
+
+    def members(self, group: int) -> np.ndarray:
+        """The rows of group number ``group``, in row order."""
+        return self.index[self.by_number[group], : self.sizes[group]]
+
+    def sums_and_cv(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per group, by number: the left-to-right sum of its rows'
+        ``values``, and their coefficient of variation (population std
+        over |mean|; ``nan`` for a single row or a zero mean)."""
+        padded = np.concatenate((values, _ZERO))[self.index]
+        # zero padding leaves a sequential sum as it is
+        sums = np.add.accumulate(padded, axis=1)[:, -1]
+        # np.mean and np.std over each group, made of the ufunc calls they
+        # make (add.reduce, true_divide, subtract, square, sqrt), so the
+        # bits match without their Python wrappers.  Only the reductions
+        # need a bucket; the elementwise steps run over the whole matrix.
+        n, sizes = sums.size, self._row_sizes
+        mean, var = np.zeros(n), np.zeros(n)  # single rows keep mean 0
+        for lo, hi, size in self.buckets:
+            np.add.reduce(padded[lo:hi, :size], axis=1, out=mean[lo:hi])
+        np.true_divide(mean, sizes, out=mean)
+        dev = np.subtract(padded, mean[:, None])
+        np.square(dev, out=dev)
+        for lo, hi, size in self.buckets:
+            np.add.reduce(dev[lo:hi, :size], axis=1, out=var[lo:hi])
+        np.true_divide(var, sizes, out=var)
+        np.sqrt(var, out=var)
+        cv = np.empty(n)
+        cv.fill(np.nan)
+        np.divide(var, np.abs(mean), out=cv, where=mean != 0.0)
+        by_number = self.by_number
+        # a sum started from the first value can be -0.0 where one started
+        # from 0.0 gives 0.0
+        return sums[by_number] + 0.0, cv[by_number]
 
 
-def _left_sums(values: np.ndarray) -> np.ndarray:
-    """Sums along the last axis, added strictly left to right.
-
-    ``cumsum`` accumulates sequentially; adding ``0.0`` turns a ``-0.0``
-    result into ``0.0``, the one way it could differ from a Python loop
-    that starts from zero (``total = 0.0; total += x``).
-    """
-    return np.cumsum(values, axis=-1)[..., -1] + 0.0
+#: the padding value of ``GroupLayout.sums_and_cv``
+_ZERO = np.zeros(1)

@@ -31,9 +31,8 @@ figures (7 and 8).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.config import DikeConfig
 from repro.core.observer import ObserverReport
@@ -94,18 +93,16 @@ class Predictor:
         """Estimate profits for each pair (order preserved)."""
         out: list[PairPrediction] = []
         for pair in pairs:
-            rate_l = report.access_rate.get(pair.t_l, 0.0)
-            rate_h = report.access_rate.get(pair.t_h, 0.0)
-            core_l = placement[pair.t_l]
-            core_h = placement[pair.t_h]
-            bw_of_core_h = report.core_bw.get(core_h, float("nan"))
-            bw_of_core_l = report.core_bw.get(core_l, float("nan"))
+            rate_l = report.rate_of(pair.t_l)
+            rate_h = report.rate_of(pair.t_h)
+            bw_of_core_h = report.core_bw_of(placement[pair.t_h])
+            bw_of_core_l = report.core_bw_of(placement[pair.t_l])
             # An unprobed machine (nan CoreBW) predicts no change: the
             # closed loop has no evidence yet, so profit degenerates to the
             # overhead penalty and the decider will skip the pair.
-            if not np.isfinite(bw_of_core_h):
+            if not math.isfinite(bw_of_core_h):
                 bw_of_core_h = rate_l
-            if not np.isfinite(bw_of_core_l):
+            if not math.isfinite(bw_of_core_l):
                 bw_of_core_l = rate_h
             oh_l = self.overhead(rate_l)
             oh_h = self.overhead(rate_h)

@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.config import DikeConfig
-from repro.core.observer import ObserverReport
+from repro.core.observer import NO_GROUP, GroupLayout, ObserverReport
 from repro.obs.events import NULL_BUS, PairProposed
-from repro.util.stats import coefficient_of_variation, left_sum
+from repro.util.stats import left_sums
 
 __all__ = ["ThreadPair", "Selector"]
 
@@ -52,7 +54,19 @@ class Selector:
     ) -> list[ThreadPair]:
         """Form violator pairs (see :meth:`_select`), emitting one
         ``PairProposed`` event per pair when observability is on."""
-        pairs = self._select(report, placement)
+        n = len(placement)
+        return self.select_columns(
+            report,
+            np.fromiter(placement, np.int64, n),
+            np.fromiter(placement.values(), np.int64, n),
+        )
+
+    def select_columns(
+        self, report: ObserverReport, tids: np.ndarray, vcores: np.ndarray
+    ) -> list[ThreadPair]:
+        """:meth:`select` over a placement given as aligned ``tids`` and
+        ``vcores`` arrays (in the placement's order)."""
+        pairs = self._select(report, tids, vcores)
         if self.bus.enabled:
             for pair in pairs:
                 self.bus.emit(
@@ -61,36 +75,43 @@ class Selector:
         return pairs
 
     def _select(
-        self, report: ObserverReport, placement: dict[int, int]
+        self, report: ObserverReport, tids: np.ndarray, vcores: np.ndarray
     ) -> list[ThreadPair]:
         """Form up to ``swap_size / 2`` violator pairs for this quantum.
+
+        Works on the report's columns: the selectable threads (placed and
+        measured) are sorted once, by access rate with a tid tiebreak, and
+        every later step is a mask over that order.
 
         Parameters
         ----------
         report:
             The Observer's digest (access rates, classes, core identity).
-        placement:
-            tid -> vcore for every live thread.
+        tids, vcores:
+            Every live thread and its vcore (the placement).
         """
         if report.is_fair(self.config.fairness_threshold):
             return []
 
-        tids = [t for t in placement if t in report.access_rate]
-        if len(tids) < 2:
+        slots = report.tid_slots(tids)
+        measured = report.present_by_tid[slots]
+        n = np.count_nonzero(measured)
+        if n < 2:
             return []
-        # Ascending by access rate; tid tiebreak for determinism.
-        tids.sort(key=lambda t: (report.access_rate[t], t))
-        n = len(tids)
+        rates = report.rate_by_tid[slots]
+        # Ascending by access rate; tid tiebreak for determinism.  Threads
+        # without a measurement sort last and drop out; a measured tid is
+        # its own column slot.
+        order = np.lexsort((tids, rates, ~measured))[:n]
+        tids, vcores, rates = tids[order], vcores[order], rates[order]
         n_pairs = self.config.n_pairs
 
-        classes = {t: report.classification.get(t, "C") for t in tids}
-        if len(set(classes.values())) == 1:
+        is_m = report.is_m_by_tid[tids]
+        n_m = np.count_nonzero(is_m)
+        if n_m == 0 or n_m == n:
             # All threads the same type: pair the two ends regardless of the
             # placement rule (Algorithm 1, lines 10-15).
-            pairs = []
-            for k in range(min(n_pairs, n // 2)):
-                pairs.append(ThreadPair(t_l=tids[k], t_h=tids[n - 1 - k]))
-            return pairs
+            return _end_pairs(tids, np.arange(n), n_pairs)
 
         # The ideal mapping binds the top-k access-rate threads to the k
         # occupied high-bandwidth cores ("the smallest possible number of
@@ -98,31 +119,14 @@ class Selector:
         # whose rate rank disagrees with its core tier; additionally the
         # classic type rule applies (a compute-class thread sitting on a
         # high-BW core violates even when ranks happen to agree).
-        on_high = {t: placement[t] in report.high_bw_cores for t in tids}
-        k_high = sum(1 for t in tids if on_high[t])
-        top_rank = {t: i >= n - k_high for i, t in enumerate(tids)}
-
-        def violates(tid: int) -> bool:
-            if top_rank[tid] and not on_high[tid]:
-                return True  # high-access thread stuck on a low-BW core
-            if not top_rank[tid] and on_high[tid] and classes[tid] == "C":
-                return True  # compute thread hogging a high-BW core
-            return False
-
-        pairs: list[ThreadPair] = []
-        paired: set[int] = set()
-        head, tail = 0, n - 1
-        while len(pairs) < n_pairs and head < tail:
-            while head < tail and not violates(tids[head]):
-                head += 1
-            while tail > head and not violates(tids[tail]):
-                tail -= 1
-            if head >= tail:
-                break
-            pairs.append(ThreadPair(t_l=tids[head], t_h=tids[tail]))
-            paired.update((tids[head], tids[tail]))
-            head += 1
-            tail -= 1
+        on_high = report.high_by_vcore[report.vcore_slots(vcores)]
+        top_rank = np.arange(n) >= n - np.count_nonzero(on_high)
+        # high-access thread stuck on a low-BW core, or a compute thread
+        # hogging a high-BW core (on high and not "M")
+        violators = np.where(top_rank, ~on_high, on_high > is_m).nonzero()[0]
+        # The head pointer takes violators from the low end, the tail
+        # pointer from the high end, until they meet.
+        pairs = _end_pairs(tids, violators, n_pairs)
 
         if self.config.rotation_fallback and len(pairs) < n_pairs:
             # Fewer violators than swapSize allows while the system is
@@ -131,60 +135,57 @@ class Selector:
             # its fastest directly equalises the progress Eqn. 4 scores),
             # then rotate the global extremes so the placement rule is
             # obeyed on average over several quanta (see DikeConfig).
-            for group_tids in self._unfair_groups(report, tids):
+            paired = np.zeros(n, bool)
+            k = len(pairs)
+            paired[violators[:k]] = paired[violators[violators.size - k :]] = True
+            for members in self._unfair_groups(report, tids, rates):
                 if len(pairs) >= n_pairs:
                     break
-                lo_t = next((t for t in group_tids if t not in paired), None)
-                hi_t = next(
-                    (t for t in reversed(group_tids) if t not in paired and t != lo_t),
-                    None,
-                )
-                if lo_t is None or hi_t is None:
+                free = members[~paired[members]]
+                if free.size < 2:
                     continue
-                pairs.append(ThreadPair(t_l=lo_t, t_h=hi_t))
-                paired.update((lo_t, hi_t))
-            lo, hi = 0, n - 1
-            while len(pairs) < n_pairs and lo < hi:
-                while lo < hi and tids[lo] in paired:
-                    lo += 1
-                while hi > lo and tids[hi] in paired:
-                    hi -= 1
-                if lo >= hi:
-                    break
-                pairs.append(ThreadPair(t_l=tids[lo], t_h=tids[hi]))
-                paired.update((tids[lo], tids[hi]))
-                lo += 1
-                hi -= 1
+                lo, hi = free[0], free[-1]
+                pairs.append(ThreadPair(t_l=int(tids[lo]), t_h=int(tids[hi])))
+                paired[lo] = paired[hi] = True
+            pairs += _end_pairs(tids, (~paired).nonzero()[0], n_pairs - len(pairs))
         return pairs
 
     def _unfair_groups(
-        self, report: ObserverReport, sorted_tids: list[int]
-    ) -> list[list[int]]:
+        self, report: ObserverReport, tids: np.ndarray, rates: np.ndarray
+    ) -> list[np.ndarray]:
         """Process groups whose own threads show dispersed access rates.
 
-        Returns each qualifying group's tids in ascending rate order,
-        most-dispersed (by bandwidth-weighted cv) first.  Groups carrying a
-        negligible share of traffic are skipped — their dispersion is not a
-        memory-fairness problem a swap can fix.
+        ``tids`` and ``rates`` are the selectable threads and their rates
+        in ascending rate order.  Returns each qualifying group's
+        positions in that order, most-dispersed (by bandwidth-weighted
+        cv) first.  Groups carrying a negligible share of traffic are
+        skipped — their dispersion is not a memory-fairness problem a
+        swap can fix.
         """
         if report.group_of is None:
             return []
-        rates = report.access_rate
-        by_group: dict[int, list[int]] = {}
-        for t in sorted_tids:
-            g = report.group_of.get(t)
-            if g is not None:
-                by_group.setdefault(g, []).append(t)
-        total = left_sum(rates[t] for t in sorted_tids) or 1.0
-        scored: list[tuple[float, list[int]]] = []
-        for g, tids in by_group.items():
-            if len(tids) < 2:
-                continue
-            weight = left_sum(rates[t] for t in tids) / total
-            if weight < 0.05:
-                continue
-            cv = coefficient_of_variation([rates[t] for t in tids])
-            if cv > self.config.fairness_threshold:
-                scored.append((weight * cv, tids))
-        scored.sort(key=lambda x: -x[0])
-        return [tids for _, tids in scored]
+        gid = report.group_by_tid[tids]
+        grouped = (gid != NO_GROUP).nonzero()[0]
+        if grouped.size < 2:
+            return []
+        total = float(left_sums(rates)) or 1.0
+        layout = GroupLayout(gid[grouped])
+        sums, cv = layout.sums_and_cv(rates[grouped])
+        weight = sums / total
+        dispersed = (
+            (layout.sizes >= 2)
+            & ~(weight < 0.05)
+            & (cv > self.config.fairness_threshold)
+        )
+        chosen = dispersed.nonzero()[0]
+        chosen = chosen[np.argsort(-(weight * cv)[chosen], kind="stable")]
+        return [grouped[layout.members(g)] for g in chosen.tolist()]
+
+
+def _end_pairs(tids: np.ndarray, ends: np.ndarray, n_pairs: int) -> list[ThreadPair]:
+    """Pair ``ends[0]`` with ``ends[-1]``, ``ends[1]`` with ``ends[-2]``
+    and so on inward, at most ``n_pairs`` pairs, as positions of ``tids``."""
+    k = max(0, min(n_pairs, ends.size // 2))
+    low = tids[ends[:k]].tolist()
+    high = tids[ends[::-1][:k]].tolist()
+    return [ThreadPair(t_l=lo, t_h=hi) for lo, hi in zip(low, high)]

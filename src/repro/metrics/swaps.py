@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.results import RunResult
+from repro.util.stats import left_sum
 
 __all__ = ["swap_count", "swap_rate", "migration_overhead_fraction"]
 
@@ -29,7 +30,7 @@ def migration_overhead_fraction(
     A coarse upper bound: ``migrations x swapOH`` over the summed thread
     runtimes — the quantity Dike's predictor tries to keep small.
     """
-    total_thread_time = sum(
+    total_thread_time = left_sum(
         t for b in result.benchmarks for t in b.thread_finish_times if np.isfinite(t)
     )
     if total_thread_time <= 0:

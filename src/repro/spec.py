@@ -29,8 +29,9 @@ parser the ``--policy`` and ``--topology`` flags use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.campaign.spec import SimParams, TaskSpec, WorkloadRef
 from repro.policies import REGISTRY, PolicySpec
@@ -193,7 +194,31 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         # One validation path: policy/topology refs validated themselves;
         # the simulator fields validate by construction of the SimParams
-        # image (llc backend name, topology/params compatibility).
+        # image (llc backend name, topology/params compatibility) and the
+        # scalar fields here, by value, never coerced.
+        require(
+            isinstance(self.seed, int)
+            and not isinstance(self.seed, bool)
+            and self.seed >= 0,
+            f"seed must be an int >= 0, got {self.seed!r}",
+        )
+        for name, low in (
+            ("work_scale", None), ("max_time_s", None), ("counter_noise", 0.0)
+        ):
+            value = getattr(self, name)
+            require(
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and (value > 0.0 if low is None else value >= low),
+                f"{name} must be a finite number "
+                f"{'> 0' if low is None else '>= 0'}, got {value!r}",
+            )
+        for name in ("record_timeseries", "invariants", "traffic"):
+            value = getattr(self, name)
+            require(
+                isinstance(value, bool), f"{name} must be a bool, got {value!r}"
+            )
         self.sim_params()
         if self.migration is not None:
             require(
@@ -351,25 +376,28 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "ExperimentSpec":
+        """The spec of a :meth:`to_dict` document.
+
+        Raises ``ValueError`` naming the key for a document that is not
+        a mapping, or whose ``workload``, ``policy``, ``topology`` or
+        ``seed`` is missing or ill-shaped.
+        """
+        require(
+            isinstance(d, Mapping),
+            f"an ExperimentSpec document is a mapping, got {type(d).__name__}",
+        )
         version = d.get("spec_version")
         require(
             version == SPEC_SCHEMA_VERSION,
             f"unsupported ExperimentSpec schema version {version!r} "
             f"(this build reads version {SPEC_SCHEMA_VERSION})",
         )
-        wl = d["workload"]
+        require("seed" in d, "ExperimentSpec document has no 'seed'")
         migration = d.get("migration")
         return cls(
-            workload=WorkloadRef(
-                name=wl["name"],
-                apps=tuple(wl["apps"]),
-                include_kmeans=wl.get("include_kmeans", True),
-                threads_per_app=wl.get("threads_per_app", 8),
-                arrivals=tuple(wl.get("arrivals", ())),
-                sizes=tuple(wl.get("sizes", ())),
-            ),
-            policy=PolicyRef.from_dict(d["policy"]),
-            topology=TopologyRef.from_dict(d["topology"]),
+            workload=_part(d, "workload", _workload_ref),
+            policy=_part(d, "policy", PolicyRef.from_dict),
+            topology=_part(d, "topology", TopologyRef.from_dict),
             seed=d["seed"],
             work_scale=d.get("work_scale", 1.0),
             counter_noise=d.get("counter_noise", 0.06),
@@ -392,3 +420,28 @@ class ExperimentSpec:
     def label(self) -> str:
         """Short human-readable id (same form the campaign layer prints)."""
         return self.to_task().label()
+
+
+def _workload_ref(wl: Mapping[str, Any]) -> WorkloadRef:
+    return WorkloadRef(
+        name=wl["name"],
+        apps=tuple(wl["apps"]),
+        include_kmeans=wl.get("include_kmeans", True),
+        threads_per_app=wl.get("threads_per_app", 8),
+        arrivals=tuple(wl.get("arrivals", ())),
+        sizes=tuple(wl.get("sizes", ())),
+    )
+
+
+def _part(d: Mapping[str, Any], key: str, build: Callable[[Mapping], Any]):
+    """``build(d[key])``; a missing, non-mapping or ill-shaped part raises
+    ``ValueError`` naming ``key``."""
+    part = d.get(key)
+    require(
+        isinstance(part, Mapping),
+        f"ExperimentSpec {key!r} must be a mapping, got {type(part).__name__}",
+    )
+    try:
+        return build(part)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"ExperimentSpec {key!r} is ill-shaped: {exc!r}") from None

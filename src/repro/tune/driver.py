@@ -31,6 +31,7 @@ from repro.spec import ExperimentSpec, PolicyRef, TopologyRef
 from repro.tune.space import DEFAULT_TUNABLES, SearchSpace
 from repro.tune.strategies import STRATEGIES, Evaluation
 from repro.util.rng import DEFAULT_SEED
+from repro.util.stats import left_sum
 from repro.util.validation import require
 from repro.workloads.suite import WORKLOAD_TABLE, workload
 
@@ -183,7 +184,7 @@ class Tuner:
             scores.append(
                 value if math.isfinite(value) else _FAILED_SCORE
             )
-        score = float(sum(scores) / len(scores))
+        score = float(left_sum(scores) / len(scores))
         self._scores[key] = score
         return score
 

@@ -28,6 +28,7 @@ from repro.metrics.fairness import fairness
 from repro.policies import REGISTRY
 from repro.spec import ExperimentSpec, PolicyRef, TopologyRef
 from repro.tune.driver import TuneConfig
+from repro.util.stats import left_sum
 from repro.util.validation import require
 from repro.workloads.suite import workload
 
@@ -93,7 +94,7 @@ def build_tuning_report(
     report_entries = {}
     for label, ref in entries:
         per_wl = {
-            wl: (sum(v) / len(v) if v else None)
+            wl: (left_sum(v) / len(v) if v else None)
             for wl, v in by_entry[label].items()
         }
         finite = [v for v in per_wl.values() if v is not None]
@@ -101,7 +102,7 @@ def build_tuning_report(
             "policy": ref.name,
             "params": dict(ref.params),
             "fairness_by_workload": per_wl,
-            "mean_fairness": (sum(finite) / len(finite)) if finite else None,
+            "mean_fairness": (left_sum(finite) / len(finite)) if finite else None,
         }
     ranking = sorted(
         labels,

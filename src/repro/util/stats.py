@@ -27,6 +27,7 @@ __all__ = [
     "coefficient_of_variation",
     "geometric_mean",
     "left_sum",
+    "left_sums",
     "MovingMean",
     "ExponentialMean",
     "summarize",
@@ -49,6 +50,16 @@ def left_sum(values: Iterable[float]) -> float:
     interpreter.
     """
     return reduce(operator.add, values, 0.0)
+
+
+def left_sums(values: np.ndarray) -> np.ndarray:
+    """:func:`left_sum` along the last axis of an array.
+
+    ``add.accumulate`` adds sequentially; adding ``0.0`` turns a ``-0.0``
+    result into ``0.0``, the one way it could differ from a sum that
+    starts from zero.
+    """
+    return np.add.accumulate(values, axis=-1)[..., -1] + 0.0
 
 
 def coefficient_of_variation(values: Iterable[float]) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import stat
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -129,3 +130,17 @@ class TestConcurrentWriters:
             small_result()
         )
         assert len(store.index_path.read_text().splitlines()) == workers * puts
+
+
+class TestArtifactMode:
+    def test_artifact_mode_follows_the_umask_like_the_index(self, tmp_path):
+        """A shared cache directory: whoever can read the index can read
+        the objects (mkstemp made them 0o600)."""
+        old = os.umask(0o022)
+        try:
+            store = ResultStore(tmp_path)
+            path = store.put(KEY, small_result())
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(path.stat().st_mode)
+        assert mode == stat.S_IMODE(store.index_path.stat().st_mode) == 0o644

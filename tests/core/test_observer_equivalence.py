@@ -9,10 +9,17 @@ path is held to.  Hypothesis feeds both the same random counter streams
 cache occupancy, the ``ipc`` metric, ragged or missing process groups,
 out-of-range vcores, a vcore probed twice in one quantum) and every
 report field must match exactly: same keys, same order, same bits.
+
+The report is columnar and builds its dict fields as views on first
+read; the views, the column lookups Dike's stages use instead of them
+(``rate_of``, ``core_bw_of``, ``demand_of``, the C/M counts), a copy
+made with ``dataclasses.replace`` (which goes back through dicts) and
+the traced ``ObserverSample`` all have to agree with the reference.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 
@@ -21,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DikeConfig
-from repro.core.observer import Observer, classify
+from repro.core.observer import Observer, ObserverReport, classify
+from repro.obs.events import EventBus, ObserverSample
 from repro.sim.counters import QuantumCounters, ThreadSample
 from repro.util.stats import coefficient_of_variation
 
@@ -214,6 +222,37 @@ def columnar(counters: QuantumCounters) -> QuantumCounters:
     )
 
 
+VIEWS = (
+    "access_rate", "miss_rate", "classification", "core_bw", "high_bw_cores",
+    "demand_estimate", "cache_occupancy",
+)
+
+
+def check_lookups(report: ObserverReport, want: dict, n_vcores: int) -> None:
+    """The column lookups agree with the reference dicts, ids beyond the
+    columns included."""
+    demand = want["demand_estimate"] or {}
+    for t in range(-2, MAX_TID + 3):
+        assert bits(report.rate_of(t)) == bits(want["access_rate"].get(t, 0.0))
+        assert bits(report.demand_of(t)) == bits(demand.get(t, float("inf")))
+    for v in range(-2, n_vcores + 2):
+        assert bits(report.core_bw_of(v)) == bits(want["core_bw"].get(v, float("nan")))
+    classes = list(want["classification"].values())
+    assert report.n_memory() == classes.count("M")
+    assert report.n_compute() == classes.count("C")
+
+
+class _Collector:
+    def __init__(self) -> None:
+        self.events = []
+
+    def accept(self, event) -> None:
+        self.events.append(event)
+
+    def close(self) -> None:
+        pass
+
+
 class TestColumnarObserverEqualsReference:
     @settings(max_examples=300, deadline=None)
     @given(scenarios())
@@ -224,8 +263,43 @@ class TestColumnarObserverEqualsReference:
         for counters in stream:
             got = fast.update(columnar(counters))
             want = reference.update(counters)
+            check_lookups(got, want, n_vcores)
             for field, expected in want.items():
                 assert bits(getattr(got, field)) == bits(expected), field
+            assert got.group_of == reference.groups
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenarios())
+    def test_replaced_report_keeps_every_view(self, scenario):
+        """``dike-lms`` copies a report with ``dataclasses.replace``; the
+        copy is built from the views and derives its columns from them."""
+        config, n_vcores, groups, stream = scenario
+        fast = Observer(config, n_vcores, groups)
+        reference = ReferenceObserver(config, n_vcores, groups)
+        for counters in stream:
+            got = fast.update(columnar(counters))
+            want = reference.update(counters)
+            copy = dataclasses.replace(got)
+            assert copy == got
+            for field in VIEWS:
+                assert bits(getattr(copy, field)) == bits(want[field]), field
+            check_lookups(copy, want, n_vcores)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenarios())
+    def test_traced_sample_holds_the_reference_dicts(self, scenario):
+        config, n_vcores, groups, stream = scenario
+        fast = Observer(config, n_vcores, groups)
+        fast.bus = EventBus()
+        collector = fast.bus.attach(_Collector())
+        reference = ReferenceObserver(config, n_vcores, groups)
+        for counters in stream:
+            fast.update(columnar(counters))
+            want = reference.update(counters)
+            sample = [e for e in collector.events if isinstance(e, ObserverSample)][-1]
+            for field in ("access_rate", "miss_rate", "classification", "core_bw"):
+                assert bits(getattr(sample, field)) == bits(want[field]), field
+            assert sample.high_bw_cores == tuple(sorted(want["high_bw_cores"]))
 
     def test_groups_are_summed_in_order_of_first_appearance(self):
         # Float addition is not associative: 1e16 + 1 + 1 differs from

@@ -173,6 +173,61 @@ class TestExperimentSpecRoundTrip:
             )
 
 
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+
+    return edit
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+
+    return edit
+
+
+#: (edit of a valid wire document, key the ValueError must name)
+BAD_DOCUMENTS = [
+    (_set("seed", "x"), "seed"),
+    (_set("seed", 1.5), "seed"),
+    (_set("seed", True), "seed"),
+    (_set("seed", -1), "seed"),
+    (_drop("seed"), "seed"),
+    (_set("work_scale", -1.0), "work_scale"),
+    (_set("work_scale", float("nan")), "work_scale"),
+    (_set("counter_noise", "z"), "counter_noise"),
+    (_set("counter_noise", -0.1), "counter_noise"),
+    (_set("max_time_s", None), "max_time_s"),
+    (_set("max_time_s", float("inf")), "max_time_s"),
+    (_set("invariants", "yes"), "invariants"),
+    (_set("record_timeseries", 1), "record_timeseries"),
+    (_set("traffic", None), "traffic"),
+    (_drop("workload"), "workload"),
+    (_set("workload", "wl1"), "workload"),
+    (lambda doc: {**doc, "workload": {"name": "wl1"}}, "workload"),
+    (_set("policy", None), "policy"),
+    (_set("policy", {"params": []}), "policy"),
+    (_drop("topology"), "topology"),
+    (_set("topology", [["name", "heterogeneous"]]), "topology"),
+    (lambda doc: [doc], "mapping"),
+    (lambda doc: "spec", "mapping"),
+]
+
+
+class TestWireBoundary:
+    @pytest.mark.parametrize(
+        "edit, key", BAD_DOCUMENTS,
+        ids=[f"{key}-{i}" for i, (_, key) in enumerate(BAD_DOCUMENTS)],
+    )
+    def test_bad_document_raises_value_error_naming_the_key(self, edit, key):
+        doc = ExperimentSpec.for_workload(workload("wl1"), "dike").to_dict()
+        with pytest.raises(ValueError, match=key):
+            ExperimentSpec.from_dict(edit(doc))
+
+
 class TestCacheKeyByteIdentity:
     """`ExperimentSpec` must address the same cache objects as the raw
     `TaskSpec` constructor did before this layer existed."""
