@@ -20,11 +20,12 @@ import numpy as np
 from conftest import run_once
 
 from repro.campaign.core import Campaign
-from repro.campaign.spec import SimParams, TaskSpec
+from repro.campaign.spec import SimParams
 from repro.core.config import DikeConfig
 from repro.metrics.fairness import fairness
 from repro.metrics.performance import speedup
 from repro.sim.migration import MigrationModel
+from repro.spec import ExperimentSpec
 from repro.workloads.suite import workload
 
 SCALE = 0.2
@@ -62,8 +63,10 @@ def _evaluate(config: DikeConfig | None = None, migration=None):
     tasks = []
     for name in WORKLOADS:
         spec = workload(name)
-        tasks.append(TaskSpec.for_workload(spec, "cfs", sim=sim))
-        tasks.append(TaskSpec.for_workload(spec, "dike", policy_params=params, sim=sim))
+        tasks.append(ExperimentSpec.for_workload(spec, "cfs", sim=sim))
+        tasks.append(
+            ExperimentSpec.for_workload(spec, "dike", policy_params=params, sim=sim)
+        )
     results = iter(CAMPAIGN.gather(tasks))
     fair, speed, swaps = [], [], []
     for _ in WORKLOADS:
@@ -148,9 +151,9 @@ def test_ablation_rotation_fallback(benchmark, save_artefact):
         sim = SimParams(work_scale=SCALE)
         base, with_rot, without = CAMPAIGN.gather(
             [
-                TaskSpec.for_workload(spec, "cfs", sim=sim),
-                TaskSpec.for_workload(spec, "dike", sim=sim),
-                TaskSpec.for_workload(
+                ExperimentSpec.for_workload(spec, "cfs", sim=sim),
+                ExperimentSpec.for_workload(spec, "dike", sim=sim),
+                ExperimentSpec.for_workload(
                     spec, "dike", policy_params={"rotation_fallback": False}, sim=sim
                 ),
             ]

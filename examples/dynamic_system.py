@@ -15,16 +15,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import (
-    CFSScheduler,
-    DIOScheduler,
-    dike,
-    dike_af,
-    dike_ap,
-    fairness,
-    run_workload,
-    speedup,
-)
+from repro import REGISTRY, fairness, run_workload, speedup
 from repro.util.tables import format_table
 from repro.traffic import phased_workload
 
@@ -35,16 +26,10 @@ def main() -> None:
     timetable = ", ".join(f"{a}@{t:.0f}s" for a, t in wl.entries)
     print(f"Open-system workload: {timetable}\n(times at work_scale=1; scaled)\n")
 
-    policies = {
-        "cfs": CFSScheduler,
-        "dio": DIOScheduler,
-        "dike": dike,
-        "dike-af": dike_af,
-        "dike-ap": dike_ap,
-    }
+    policies = ("cfs", "dio", "dike", "dike-af", "dike-ap")
     results = {
-        name: run_workload(wl, factory(), work_scale=work_scale)
-        for name, factory in policies.items()
+        name: run_workload(wl, REGISTRY.build(name), work_scale=work_scale)
+        for name in policies
     }
     base = results["cfs"]
 

@@ -22,14 +22,7 @@ import sys
 
 import numpy as np
 
-from repro import (
-    CFSScheduler,
-    DIOScheduler,
-    dike,
-    dike_af,
-    run_standalone,
-    run_workload,
-)
+from repro import REGISTRY, run_standalone, run_workload
 from repro.util.stats import coefficient_of_variation
 from repro.util.tables import format_table
 from repro.workloads.suite import WorkloadSpec
@@ -46,12 +39,7 @@ NEIGHBOUR_MIXES = {
 def main() -> None:
     work_scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.2
 
-    policies = {
-        "cfs": CFSScheduler,
-        "dio": DIOScheduler,
-        "dike": dike,
-        "dike-af": dike_af,
-    }
+    policies = ("cfs", "dio", "dike", "dike-af")
 
     rows = []
     for mix_name, neighbours in NEIGHBOUR_MIXES.items():
@@ -63,8 +51,10 @@ def main() -> None:
         solo = run_standalone(spec, SERVICE, work_scale=work_scale)
         t_solo = solo.benchmark_named(SERVICE).mean_thread_time
 
-        for policy_name, factory in policies.items():
-            result = run_workload(spec, factory(), work_scale=work_scale)
+        for policy_name in policies:
+            result = run_workload(
+                spec, REGISTRY.build(policy_name), work_scale=work_scale
+            )
             bench = result.benchmark_named(SERVICE)
             times = np.asarray(bench.thread_finish_times)
             rows.append(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import CFSScheduler, DIOScheduler, dike, run_workload, workload
+from repro import REGISTRY, run_workload, workload
 from repro.analysis import placement_timeline, swap_activity_sparkline
 from repro.sim.topology import xeon_e5_heterogeneous
 
@@ -24,13 +24,9 @@ def main() -> None:
     topo = xeon_e5_heterogeneous()
     spec = workload("wl2")
 
-    for name, factory in (
-        ("cfs", CFSScheduler),
-        ("dio", DIOScheduler),
-        ("dike", dike),
-    ):
+    for name in ("cfs", "dio", "dike"):
         result = run_workload(
-            spec, factory(), work_scale=work_scale,
+            spec, REGISTRY.build(name), work_scale=work_scale,
             topology=topo, record_timeseries=True,
         )
         print("=" * 78)

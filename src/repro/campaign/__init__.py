@@ -3,7 +3,8 @@
 The subsystem behind every figure/table regeneration and the
 ``repro campaign`` CLI verb:
 
-* `spec` — declarative, picklable task descriptions + worker entry point;
+* `spec` — the workload-by-value reference and the worker entry point
+  that runs a `repro.spec.ExperimentSpec`;
 * `cachekey` — content-addressed keys over (workload, policy+params,
   seed, sim params, schema version);
 * `store` — on-disk JSON artifact store with a JSONL index;
@@ -20,15 +21,7 @@ from repro.campaign.cachekey import cache_key, task_fingerprint
 from repro.campaign.core import Campaign, CampaignError
 from repro.campaign.executor import ExecutorConfig, TaskFailure, run_tasks
 from repro.campaign.planner import CampaignPlan, CampaignSpec, dedupe, plan
-from repro.campaign.spec import (
-    KNOWN_POLICIES,
-    SimParams,
-    TaskSpec,
-    WorkloadRef,
-    build_scheduler,
-    build_topology,
-    execute_task,
-)
+from repro.campaign.spec import SimParams, WorkloadRef, execute_task
 from repro.campaign.store import ResultStore
 from repro.campaign.telemetry import Telemetry
 
@@ -38,15 +31,11 @@ __all__ = [
     "CampaignPlan",
     "CampaignSpec",
     "ExecutorConfig",
-    "KNOWN_POLICIES",
     "ResultStore",
     "SimParams",
     "TaskFailure",
-    "TaskSpec",
     "Telemetry",
     "WorkloadRef",
-    "build_scheduler",
-    "build_topology",
     "cache_key",
     "dedupe",
     "execute_task",

@@ -9,13 +9,13 @@ layer feeds it *groups* of compatible tasks.  This module is that glue:
   and no per-task trace sink (both attach per-run observers whose
   per-quantum cost would defeat the batching anyway), no per-quantum
   timeseries.  LLC models batch: each lane resolves its own cache.
-* :func:`plan_batches` — groups eligible ``(key, task)`` pairs by batch
+* :func:`plan_batches` — groups eligible ``(key, spec)`` pairs by batch
   signature (policy + parameters, topology, migration model, scenario
   shape) and chunks each group into :class:`BatchTask` units of at most
   ``max_batch`` members.  Ineligible tasks and singleton groups pass
   through as plain scalar units, preserving first-seen order.
 * :func:`execute_batch` / :func:`execute_unit` — the worker entry points.
-  A batch builds one engine per member with
+  A batch builds one engine per member spec with
   :func:`~repro.campaign.spec.task_engine` (the builder
   :func:`~repro.campaign.spec.execute_task` uses) and runs them through a
   :class:`~repro.sim.batch.BatchEngine`; on *any* batch-level error it
@@ -31,10 +31,13 @@ campaign both ways and comparing the stores).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.campaign.spec import TaskSpec, execute_task, finish_task, task_engine
+from repro.campaign.spec import execute_task, finish_task, task_engine
 from repro.sim.results import RunResult
+
+if TYPE_CHECKING:
+    from repro.spec import ExperimentSpec
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -55,28 +58,28 @@ DEFAULT_BATCH_SIZE = 32
 
 @dataclass(frozen=True)
 class BatchTask:
-    """One executor unit bundling several compatible tasks.
+    """One executor unit bundling several compatible specs.
 
-    Duck-types the slice of ``TaskSpec`` the executor uses (``label()``
-    plus picklability), so it flows through
+    Duck-types the slice of ``ExperimentSpec`` the executor uses
+    (``label()`` plus picklability), so it flows through
     :func:`~repro.campaign.executor.run_tasks` unchanged.
     """
 
-    items: tuple[tuple[str, TaskSpec], ...]
+    items: tuple[tuple[str, ExperimentSpec], ...]
 
     @property
     def keys(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.items)
 
     @property
-    def tasks(self) -> tuple[TaskSpec, ...]:
+    def tasks(self) -> tuple[ExperimentSpec, ...]:
         return tuple(t for _, t in self.items)
 
     def label(self) -> str:
         first = self.items[0][1]
         seeds = [t.seed for _, t in self.items]
         return (
-            f"batch[{len(self.items)}]:{first.workload.name}/{first.policy}"
+            f"batch[{len(self.items)}]:{first.workload.name}/{first.policy.name}"
             f"@s{min(seeds)}..s{max(seeds)}"
         )
 
@@ -95,14 +98,12 @@ class BatchResult:
     fallback: str | None = None
 
 
-def batchable(task: TaskSpec) -> bool:
-    """Whether ``task`` may run inside a batch (see module docstring)."""
-    if not isinstance(task, TaskSpec) and hasattr(task, "to_task"):
-        task = task.to_task()
-    return not task.invariants and not task.sim.record_timeseries
+def batchable(spec: ExperimentSpec) -> bool:
+    """Whether ``spec`` may run inside a batch (see module docstring)."""
+    return not spec.invariants and not spec.record_timeseries
 
 
-def batch_signature(task: TaskSpec) -> tuple:
+def batch_signature(spec: ExperimentSpec) -> tuple:
     """Group key: tasks sharing it can run in one ``BatchEngine``.
 
     Policy family (name + parameters), machine model (topology name and
@@ -113,16 +114,14 @@ def batch_signature(task: TaskSpec) -> tuple:
     shape keeps lane lengths similar so stragglers don't serialise the
     batch.
     """
-    if not isinstance(task, TaskSpec) and hasattr(task, "to_task"):
-        task = task.to_task()
-    wl = task.workload
+    wl = spec.workload
     return (
-        task.policy,
-        task.policy_params,
-        task.sim.topology,
-        task.sim.topology_params,
-        task.sim.migration,
-        task.sim.counter_noise,
+        spec.policy.name,
+        spec.policy.params,
+        spec.topology.name,
+        spec.topology.params,
+        spec.migration,
+        spec.counter_noise,
         wl.threads_per_app,
         len(wl.apps),
         bool(wl.arrivals),
@@ -130,17 +129,17 @@ def batch_signature(task: TaskSpec) -> tuple:
 
 
 def plan_batches(
-    items: Sequence[tuple[str, TaskSpec]],
+    items: Sequence[tuple[str, ExperimentSpec]],
     max_batch: int = DEFAULT_BATCH_SIZE,
-) -> list[tuple[str, TaskSpec | BatchTask]]:
-    """Group ``(key, task)`` pairs into executor units.
+) -> list[tuple[str, ExperimentSpec | BatchTask]]:
+    """Group ``(key, spec)`` pairs into executor units.
 
-    Eligible tasks with a shared :func:`batch_signature` merge into
+    Eligible specs with a shared :func:`batch_signature` merge into
     :class:`BatchTask` units of at most ``max_batch`` members; everything
-    else (ineligible tasks, singleton groups) stays a scalar unit.  Units
+    else (ineligible specs, singleton groups) stays a scalar unit.  Units
     keep the first-seen order of their first member.
     """
-    groups: dict[tuple, list[tuple[str, TaskSpec]]] = {}
+    groups: dict[tuple, list[tuple[str, ExperimentSpec]]] = {}
     order: list[tuple[str, object]] = []  # (kind, payload) in input order
     for key, task in items:
         if not batchable(task):
@@ -152,7 +151,7 @@ def plan_batches(
             order.append(("group", sig))
         groups[sig].append((key, task))
 
-    units: list[tuple[str, TaskSpec | BatchTask]] = []
+    units: list[tuple[str, ExperimentSpec | BatchTask]] = []
     for kind, payload in order:
         if kind == "scalar":
             units.append(payload)  # type: ignore[arg-type]
@@ -202,9 +201,9 @@ def execute_batch(batch: BatchTask) -> BatchResult:
 
 
 def execute_unit(
-    unit: TaskSpec | BatchTask, trace_dir: str | None = None
+    unit: ExperimentSpec | BatchTask, trace_dir: str | None = None
 ) -> RunResult | BatchResult:
-    """Dispatch one executor unit: scalar task or batch."""
+    """Dispatch one executor unit: scalar spec or batch."""
     if isinstance(unit, BatchTask):
         return execute_batch(unit)
     return execute_task(unit, trace_dir=trace_dir)

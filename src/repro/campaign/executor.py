@@ -1,6 +1,6 @@
 """Fault-tolerant task execution: process pool + retries + timeouts.
 
-The executor runs ``(key, task)`` pairs through a worker function
+The executor runs ``(key, spec)`` pairs through a worker function
 (:func:`repro.campaign.spec.execute_task` in production; tests inject
 crashing/hanging stand-ins) and returns ``key -> RunResult | TaskFailure``.
 A failing *task* never aborts the campaign: it is retried with exponential
@@ -39,11 +39,14 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.campaign.spec import TaskSpec, execute_task
+from repro.campaign.spec import execute_task
 from repro.campaign.telemetry import Telemetry
 from repro.obs.attach import run_info_telemetry
+
+if TYPE_CHECKING:
+    from repro.spec import ExperimentSpec
 
 __all__ = ["ExecutorConfig", "TaskFailure", "run_tasks"]
 
@@ -94,15 +97,15 @@ class TaskFailure:
 @dataclass
 class _Pending:
     key: str
-    task: TaskSpec
+    task: ExperimentSpec
     attempt: int = 0  # completed attempts so far
     not_before: float = 0.0  # monotonic time gate (backoff)
     suspect: bool = False  # was in flight when a pool died (probe alone)
 
 
 def run_tasks(
-    items: Sequence[tuple[str, TaskSpec]],
-    fn: Callable[[TaskSpec], object] = execute_task,
+    items: Sequence[tuple[str, ExperimentSpec]],
+    fn: Callable[[ExperimentSpec], object] = execute_task,
     config: ExecutorConfig | None = None,
     telemetry: Telemetry | None = None,
 ) -> dict[str, object]:
@@ -148,7 +151,7 @@ def _record_failure(
 
 def _run_serial(
     pending: Sequence[_Pending],
-    fn: Callable[[TaskSpec], object],
+    fn: Callable[[ExperimentSpec], object],
     config: ExecutorConfig,
     telemetry: Telemetry,
     out: dict[str, object],
@@ -176,7 +179,7 @@ def _run_serial(
 
 def _run_parallel(
     pending: list[_Pending],
-    fn: Callable[[TaskSpec], object],
+    fn: Callable[[ExperimentSpec], object],
     config: ExecutorConfig,
     telemetry: Telemetry,
     out: dict[str, object],

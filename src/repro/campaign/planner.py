@@ -15,16 +15,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.campaign.batching import batch_signature, batchable, plan_batches
 from repro.campaign.cachekey import cache_key
-from repro.campaign.spec import SimParams, TaskSpec
+from repro.campaign.spec import SimParams
 from repro.core.config import QUANTA_CHOICES_S, SWAP_SIZE_CHOICES
 from repro.policies import REGISTRY
 from repro.topologies import TOPOLOGY_REGISTRY
 from repro.util.rng import DEFAULT_SEED
 from repro.util.validation import require
 from repro.workloads.suite import WORKLOAD_TABLE, workload
+
+if TYPE_CHECKING:
+    from repro.spec import ExperimentSpec
 
 __all__ = [
     "CampaignSpec",
@@ -95,10 +99,10 @@ class CampaignSpec:
 
 @dataclass(frozen=True)
 class CampaignPlan:
-    """Deduplicated tasks plus bookkeeping for the dry-run report."""
+    """Deduplicated specs plus bookkeeping for the dry-run report."""
 
     spec: CampaignSpec
-    tasks: tuple[TaskSpec, ...]
+    tasks: tuple[ExperimentSpec, ...]
     keys: tuple[str, ...]
     n_requested: int
     #: keys already present in the cache at planning time (dry-run info)
@@ -132,9 +136,11 @@ class CampaignPlan:
         return "\n".join(lines)
 
 
-def dedupe(tasks: list[TaskSpec]) -> tuple[tuple[TaskSpec, ...], tuple[str, ...]]:
-    """Order-preserving dedup by cache key; returns (tasks, keys) aligned."""
-    seen: dict[str, TaskSpec] = {}
+def dedupe(
+    tasks: list[ExperimentSpec],
+) -> tuple[tuple[ExperimentSpec, ...], tuple[str, ...]]:
+    """Order-preserving dedup by cache key; returns (specs, keys) aligned."""
+    seen: dict[str, ExperimentSpec] = {}
     for t in tasks:
         seen.setdefault(cache_key(t), t)
     return tuple(seen.values()), tuple(seen.keys())
@@ -167,9 +173,8 @@ def _policy_grid_points(
 
 
 def plan(spec: CampaignSpec, cached_keys: frozenset[str] | None = None) -> CampaignPlan:
-    """Expand a campaign spec into its deduplicated task list."""
-    # Planned through the composable spec layer (repro.spec); tasks are
-    # the specs' TaskSpec images, so cache keys are unchanged.
+    """Expand a campaign spec into its deduplicated experiment specs."""
+    # Late import: repro.spec imports this package's spec module.
     from repro.spec import ExperimentSpec
 
     sim = SimParams(
@@ -179,7 +184,7 @@ def plan(spec: CampaignSpec, cached_keys: frozenset[str] | None = None) -> Campa
         topology_params=spec.topology_params,
     )
     inv = spec.invariants
-    requested: list[TaskSpec] = []
+    requested: list[ExperimentSpec] = []
     grids = {
         policy: _policy_grid_points(policy, spec.param_grid)
         for policy in spec.policies
@@ -192,7 +197,7 @@ def plan(spec: CampaignSpec, cached_keys: frozenset[str] | None = None) -> Campa
                     requested.append(
                         ExperimentSpec.for_workload(
                             wl, policy, seed, params, sim=sim, invariants=inv
-                        ).to_task()
+                        )
                     )
             if spec.sweep:
                 # The sweep's speedups need the CFS baseline — shared, by
@@ -200,7 +205,7 @@ def plan(spec: CampaignSpec, cached_keys: frozenset[str] | None = None) -> Campa
                 requested.append(
                     ExperimentSpec.for_workload(
                         wl, "cfs", seed, sim=sim, invariants=inv
-                    ).to_task()
+                    )
                 )
                 for q in QUANTA_CHOICES_S:
                     for s in SWAP_SIZE_CHOICES:
@@ -210,7 +215,7 @@ def plan(spec: CampaignSpec, cached_keys: frozenset[str] | None = None) -> Campa
                                 {"quanta_length_s": q, "swap_size": s},
                                 sim=sim,
                                 invariants=inv,
-                            ).to_task()
+                            )
                         )
     tasks, keys = dedupe(requested)
     return CampaignPlan(

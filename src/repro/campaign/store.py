@@ -21,13 +21,16 @@ import json
 import os
 import secrets
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.campaign.spec import TaskSpec
 from repro.experiments.serialization import (
     run_result_from_dict,
     run_result_to_full_dict,
 )
 from repro.sim.results import RunResult
+
+if TYPE_CHECKING:
+    from repro.spec import ExperimentSpec
 
 __all__ = ["ResultStore"]
 
@@ -62,7 +65,9 @@ class ResultStore:
 
     # -------------------------------------------------------------- write
 
-    def put(self, key: str, result: RunResult, task: TaskSpec | None = None) -> Path:
+    def put(
+        self, key: str, result: RunResult, task: ExperimentSpec | None = None
+    ) -> Path:
         """Persist one result atomically and append an index line.
 
         The volatile ``info["traffic"]["baseline_cache"]`` hit counters

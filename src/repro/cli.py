@@ -1565,7 +1565,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         rows.append([
             t.process,
             t.rate_per_s,
-            task.policy,
+            task.policy.name,
             task.seed,
             summary.get("slowdown_p50"),
             summary.get("slowdown_p95"),
@@ -1579,7 +1579,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
             "rate_per_s": t.rate_per_s,
             "n_jobs": t.n_jobs,
             "trace_seed": t.trace_seed,
-            "policy": task.policy,
+            "policy": task.policy.name,
             "seed": task.seed,
             "makespan_s": res.makespan_s,
             "summary": summary,

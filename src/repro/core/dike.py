@@ -16,17 +16,12 @@ accepted swap registers a predicted post-swap access rate, and the next
 quantum's measurement back-fills the ground truth — producing the
 prediction-error records behind Figures 7/8.
 
-The module-level factories :func:`dike` / :func:`dike_af` /
-:func:`dike_ap` are **deprecated**: build schedulers through the policy
-registry instead (``repro.policies.REGISTRY.build("dike-af")``), which is
-the single resolution point the runner, CLI, campaign and benchmark
-layers share.  The factories keep working but emit a
-``DeprecationWarning``.
+Build schedulers through the policy registry
+(``repro.policies.REGISTRY.build("dike-af")``), the single resolution
+point the runner, CLI, campaign and benchmark layers share.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -54,9 +49,6 @@ __all__ = [
     "MigratorStage",
     "PersistencePredictorStage",
     "AcceptAllStage",
-    "dike",
-    "dike_af",
-    "dike_ap",
 ]
 
 
@@ -406,69 +398,3 @@ def _positions(book: np.ndarray, tids: np.ndarray) -> np.ndarray:
     order = book.argsort()
     at = order[np.minimum(book.searchsorted(tids, sorter=order), book.size - 1)]
     return np.where(book[at] == tids, at, -1)
-
-
-# -------------------------------------------------- deprecated factories
-
-
-def _deprecated_factory(name: str) -> None:
-    warnings.warn(
-        f"{name}() is deprecated; build schedulers through the policy "
-        f"registry instead: repro.policies.REGISTRY.build(...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def dike(config: DikeConfig | None = None) -> DikeScheduler:
-    """Deprecated: use ``repro.policies.REGISTRY.build("dike", params)``.
-
-    Non-adaptive Dike with the paper's default ⟨8, 500 ms⟩ (or a custom
-    fixed configuration)."""
-    _deprecated_factory("dike")
-    cfg = config or DikeConfig()
-    if cfg.goal is not AdaptationGoal.NONE:
-        raise ValueError("use dike_af()/dike_ap() for adaptive goals")
-    return DikeScheduler(cfg, name="dike")
-
-
-def dike_af(config: DikeConfig | None = None) -> DikeScheduler:
-    """Deprecated: use ``repro.policies.REGISTRY.build("dike-af", params)``.
-
-    Adaptive Dike favouring fairness (Dike-AF)."""
-    _deprecated_factory("dike_af")
-    cfg = config or DikeConfig()
-    cfg = DikeConfig(
-        quanta_length_s=cfg.quanta_length_s,
-        swap_size=cfg.swap_size,
-        fairness_threshold=cfg.fairness_threshold,
-        goal=AdaptationGoal.FAIRNESS,
-        adaptation_period=cfg.adaptation_period,
-        classification_miss_threshold=cfg.classification_miss_threshold,
-        corebw_window=cfg.corebw_window,
-        swap_overhead_belief_s=cfg.swap_overhead_belief_s,
-        cooldown_quanta=cfg.cooldown_quanta,
-        require_positive_profit=cfg.require_positive_profit,
-    )
-    return DikeScheduler(cfg, name="dike-af")
-
-
-def dike_ap(config: DikeConfig | None = None) -> DikeScheduler:
-    """Deprecated: use ``repro.policies.REGISTRY.build("dike-ap", params)``.
-
-    Adaptive Dike favouring performance (Dike-AP)."""
-    _deprecated_factory("dike_ap")
-    cfg = config or DikeConfig()
-    cfg = DikeConfig(
-        quanta_length_s=cfg.quanta_length_s,
-        swap_size=cfg.swap_size,
-        fairness_threshold=cfg.fairness_threshold,
-        goal=AdaptationGoal.PERFORMANCE,
-        adaptation_period=cfg.adaptation_period,
-        classification_miss_threshold=cfg.classification_miss_threshold,
-        corebw_window=cfg.corebw_window,
-        swap_overhead_belief_s=cfg.swap_overhead_belief_s,
-        cooldown_quanta=cfg.cooldown_quanta,
-        require_positive_profit=cfg.require_positive_profit,
-    )
-    return DikeScheduler(cfg, name="dike-ap")

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.campaign.core import Campaign
-from repro.campaign.spec import SimParams, TaskSpec, WorkloadRef
+from repro.campaign.spec import WorkloadRef
+from repro.spec import ExperimentSpec, PolicyRef, TopologyRef
 from repro.util.rng import DEFAULT_SEED
 from repro.util.tables import format_table
 from repro.workloads.suite import WorkloadSpec, workload
@@ -98,20 +99,24 @@ def run_fig1(
     (and, through a persistent cache, with Figure 6's baselines).
     """
     camp = campaign or Campaign.inline()
-    sim_het = SimParams(work_scale=work_scale, topology="heterogeneous")
-    sim_hom = SimParams(work_scale=work_scale, topology="homogeneous")
-    tasks: list[TaskSpec] = []
+    cfs = PolicyRef("cfs")
+    het = TopologyRef("heterogeneous")
+    hom = TopologyRef("homogeneous")
+    solo = PolicyRef("static", (("fastest_first", True),))
+    tasks: list[ExperimentSpec] = []
     for wl_name, bench in cases:
         spec = workload(wl_name)
         wl = WorkloadRef.from_spec(spec)
-        tasks.append(TaskSpec(wl, "cfs", seed, sim=sim_het))
-        tasks.append(TaskSpec(wl, "cfs", seed, sim=sim_hom))
-        tasks.append(
-            TaskSpec(
-                _standalone_ref(spec, bench), "static", seed,
-                (("fastest_first", True),), sim=sim_het,
+        for workload_ref, policy, topology in (
+            (wl, cfs, het),
+            (wl, cfs, hom),
+            (_standalone_ref(spec, bench), solo, het),
+        ):
+            tasks.append(
+                ExperimentSpec(
+                    workload_ref, policy, topology, seed, work_scale=work_scale
+                )
             )
-        )
     results = iter(camp.gather(tasks))
     rows: list[Fig1Row] = []
     for wl_name, bench in cases:

@@ -13,8 +13,7 @@ quantum groups) and distills the differences into a structured
 
 Attachment is one call — :func:`repro.obs.attach` wires any combination
 of sinks onto an engine, a bare bus, or a campaign and returns a handle
-over everything attached (`repro.obs.attach`); the old per-sink wiring
-helpers live on as deprecated shims in `repro.obs.wiring`.
+over everything attached (`repro.obs.attach`).
 
 With no sinks attached the bus is a cheap no-op — emission sites guard on
 ``bus.enabled`` and never build event objects, so a plain ``repro run``
@@ -56,16 +55,6 @@ from repro.obs.invariants import (
 from repro.obs.metrics import MetricsRegistry, timed
 from repro.obs.sinks import ChromeTraceSink, JsonlSink, KindTallySink, RingBufferSink
 
-
-def __getattr__(name: str):
-    # Deprecated: POLICY_RULES now lives in the policy registry; resolving
-    # it lazily here avoids importing `repro.policies` during package init.
-    if name == "POLICY_RULES":
-        from repro.obs import invariants
-
-        return invariants.POLICY_RULES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "attach",
     "Attachment",
@@ -102,7 +91,6 @@ __all__ = [
     "InvariantViolation",
     "InvariantError",
     "RULES",
-    "POLICY_RULES",
     "MetricsRegistry",
     "timed",
 ]

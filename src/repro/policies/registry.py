@@ -1,12 +1,10 @@
 """The policy registry: one resolution point for every policy name.
 
-Every layer that previously kept its own policy table — the runner's
-``STANDARD_POLICIES``, the CLI's ``--policy`` choices, the campaign
-planner's ``KNOWN_POLICIES``, the benchmark suite's factory map, the
-invariant checker's ``POLICY_RULES`` — now resolves through the shared
-:data:`repro.policies.REGISTRY` instance, so registering a policy *once*
-makes it runnable, sweepable, benchmarkable and contract-checked
-everywhere.
+Every layer resolves policy names through the shared
+:data:`repro.policies.REGISTRY` instance — the runner, the CLI's
+``--policy`` choices, the campaign planner, the benchmark suite and the
+invariant checker — so registering a policy *once* makes it runnable,
+sweepable, benchmarkable and contract-checked everywhere.
 
 Unknown names raise :class:`UnknownPolicyError` (a ``ValueError``): a
 typo'd ``--policy`` fails loudly with the list of known names instead of
@@ -107,7 +105,7 @@ class PolicyRegistry:
 
     def standard_factories(self) -> dict[str, PolicyFactory]:
         """Default-parameter factories of the ``standard`` policies, in
-        registration order (the registry-era ``STANDARD_POLICIES``)."""
+        registration order."""
         return {s.name: s.from_params({}) for s in self.tagged("standard")}
 
     def invariants(self, name: str) -> tuple[str, ...]:

@@ -6,7 +6,7 @@ machines instead of schedulers: canonical name, one-line doc, a
 kwargs-accepting factory returning a :class:`~repro.sim.topology.Topology`,
 and aliases.  The shared :data:`TOPOLOGY_REGISTRY` instance is the single
 resolution point for every topology name in the repo — ``--topology`` on
-the run/trace/campaign/traffic/bench verbs, ``SimParams`` cache keys, and
+the run/trace/campaign/traffic/bench verbs, campaign cache keys, and
 the large-machine presets the hierarchical policies target.
 
 The classic keyword factories (:func:`~repro.sim.topology.xeon_e5_heterogeneous`,

@@ -58,7 +58,7 @@ def solo_runtime(
     view, and the static scheduler ignores it anyway).  Memoised per
     process; `baseline_cache_stats` counts the reuse.  ``topology`` is a
     registry preset name; ``topology_params`` its sorted customisation
-    pairs (the same form ``SimParams`` carries), part of the memo key.
+    pairs (the same form ``TopologyRef.params`` carries), part of the memo key.
     """
     before = _CACHE_STATS["misses"]
     value = _solo_runtime(

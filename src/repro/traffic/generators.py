@@ -26,8 +26,7 @@ Processes
 
 All processes draw the application of each job uniformly from ``apps``
 (default: the whole Table II registry) *before* drawing the gap to the
-next arrival; the Poisson process with that draw order is bit-compatible
-with the legacy ``repro.workloads.dynamic.poisson_arrivals``.
+next arrival.
 """
 
 from __future__ import annotations
@@ -99,8 +98,8 @@ class ArrivalProcess:
         """Sample ``(app, arrival_s)`` pairs, arrivals non-decreasing.
 
         Draw order per job — application first, then the gap to the next
-        arrival — is fixed: it is the bit-compatibility contract with the
-        legacy ``poisson_arrivals`` sampler.
+        arrival — is fixed: it is part of the deterministic sampling
+        contract the golden job traces pin.
         """
         require(n_jobs >= 1, "n_jobs must be >= 1")
         gaps = self._gaps(rng)
@@ -117,15 +116,10 @@ class ArrivalProcess:
         n_threads: int = 8,
         size: float = 1.0,
         name: str | None = None,
-        rng_labels: tuple[str, ...] | None = None,
     ) -> JobTrace:
-        """Sample a full :class:`JobTrace` (deterministic per seed).
-
-        ``rng_labels`` overrides the seed-derivation label path (default
-        ``("traffic", kind)``); the legacy shim passes the historical
-        labels to reproduce old traces exactly.
-        """
-        rng = make_rng(seed, *(rng_labels or ("traffic", self.kind)))
+        """Sample a full :class:`JobTrace` (deterministic per seed,
+        drawn from the ``("traffic", kind)`` seed-derivation path)."""
+        rng = make_rng(seed, "traffic", self.kind)
         jobs = tuple(
             Job(i, app, arrival, n_threads=n_threads, size=size)
             for i, (app, arrival) in enumerate(self.entries(rng, n_jobs))

@@ -167,7 +167,7 @@ def plan_traffic(
     # Late import: repro.campaign imports repro.traffic for replay
     # support, so the planner cannot be a module-level dependency here.
     from repro.campaign.planner import CampaignPlan, dedupe
-    from repro.campaign.spec import SimParams, TaskSpec
+    from repro.campaign.spec import SimParams
     from repro.spec import ExperimentSpec
 
     sim = SimParams(
@@ -176,7 +176,7 @@ def plan_traffic(
         topology=spec.topology,
         topology_params=spec.topology_params,
     )
-    requested: list[TaskSpec] = []
+    requested: list[ExperimentSpec] = []
     for load in spec.traffic:
         wl = load.workload()
         for seed in spec.seeds:
@@ -188,7 +188,7 @@ def plan_traffic(
                         seed,
                         sim=sim,
                         invariants=spec.invariants,
-                    ).to_task()
+                    )
                 )
     tasks, keys = dedupe(requested)
     return CampaignPlan(

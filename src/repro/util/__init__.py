@@ -8,7 +8,6 @@ depend on nothing but NumPy.
 from repro.util.rng import DEFAULT_SEED, derive_seed, make_rng, spawn
 from repro.util.stats import (
     ExponentialMean,
-    MovingMean,
     coefficient_of_variation,
     geometric_mean,
     summarize,
@@ -43,7 +42,6 @@ __all__ = [
     "make_rng",
     "spawn",
     "ExponentialMean",
-    "MovingMean",
     "coefficient_of_variation",
     "geometric_mean",
     "summarize",

@@ -5,7 +5,8 @@ The paper leans on three statistics:
 * the **coefficient of variation** (standard deviation over mean) — Dike's
   runtime fairness signal and the final Fairness metric (Eqn. 4);
 * a **moving mean** of per-core bandwidth (``CoreBW``) consumed by the
-  closed-loop predictor;
+  closed-loop predictor, whose windows the Observer keeps as arrays
+  (`repro.core.observer`);
 * the **geometric mean** used to aggregate improvements across workloads.
 
 All batch helpers accept anything convertible to a 1-D ``float64`` array and
@@ -17,7 +18,6 @@ boundaries.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from functools import reduce
 from typing import Iterable
 
@@ -28,7 +28,6 @@ __all__ = [
     "geometric_mean",
     "left_sum",
     "left_sums",
-    "MovingMean",
     "ExponentialMean",
     "summarize",
 ]
@@ -96,70 +95,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     if np.any(arr <= 0.0):
         raise ValueError("geometric_mean requires strictly positive values")
     return float(np.exp(np.log(arr).mean()))
-
-
-class MovingMean:
-    """Windowed moving mean of a stream of observations.
-
-    A bounded window keeps the estimate tracking phase changes;
-    ``window=None`` gives the cumulative mean.
-    """
-
-    __slots__ = ("_window", "_values", "_cum_sum", "_count")
-
-    def __init__(self, window: int | None = 8) -> None:
-        if window is not None and window < 1:
-            raise ValueError(f"window must be >= 1 or None, got {window}")
-        self._window = window
-        self._values: deque[float] = deque()
-        #: running sum, only used in the unbounded (cumulative) mode where
-        #: values are never evicted so no cancellation error accumulates
-        self._cum_sum = 0.0
-        self._count = 0  # total updates ever, for diagnostics
-
-    @property
-    def window(self) -> int | None:
-        return self._window
-
-    @property
-    def n_updates(self) -> int:
-        """Total number of updates seen over the object's lifetime."""
-        return self._count
-
-    def update(self, value: float) -> float:
-        """Fold in a new observation and return the current mean."""
-        value = float(value)
-        if self._window is None:
-            self._cum_sum += value
-            self._count += 1
-            self._values.append(value)  # only len() is used in this mode
-            if len(self._values) > 1:
-                self._values.popleft()
-            return self.value
-        self._values.append(value)
-        if len(self._values) > self._window:
-            self._values.popleft()
-        self._count += 1
-        return self.value
-
-    @property
-    def value(self) -> float:
-        """Current mean, ``nan`` before the first update."""
-        if self._count == 0:
-            return float("nan")
-        if self._window is None:
-            return self._cum_sum / self._count
-        # Window is small (default 8): summing directly avoids the
-        # cancellation error of an incremental running sum.
-        return sum(self._values) / len(self._values)
-
-    def reset(self) -> None:
-        self._values.clear()
-        self._cum_sum = 0.0
-        self._count = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MovingMean(window={self._window}, value={self.value:.4g})"
 
 
 class ExponentialMean:

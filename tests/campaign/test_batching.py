@@ -26,14 +26,17 @@ from repro.campaign.batching import (
 )
 from repro.campaign.cachekey import cache_key
 from repro.campaign.core import Campaign, CampaignError
-from repro.campaign.spec import SimParams, TaskSpec
+from repro.campaign.spec import SimParams
+from repro.spec import ExperimentSpec
 from repro.workloads.suite import workload
 
 SIM = SimParams(work_scale=0.05)
 
 
-def _task(policy: str = "cfs", seed: int = 0, wl: str = "wl1", **sim) -> TaskSpec:
-    return TaskSpec.for_workload(
+def _task(
+    policy: str = "cfs", seed: int = 0, wl: str = "wl1", **sim
+) -> ExperimentSpec:
+    return ExperimentSpec.for_workload(
         workload(wl), policy, seed=seed, sim=SimParams(work_scale=0.05, **sim)
     )
 
@@ -86,7 +89,7 @@ class TestPlanning:
             _task("cfs", 0), _task("dike", 0), replace(_task("cfs", 1), invariants=True),
         ]
         units = plan_batches(_keyed(tasks))
-        assert all(isinstance(u, TaskSpec) for _, u in units)
+        assert all(isinstance(u, ExperimentSpec) for _, u in units)
         assert len(units) == 3
 
     def test_unit_keys_are_unique(self):
@@ -215,7 +218,8 @@ class TestBaselineCacheStamp:
 
         wl = TrafficSpec.at_rate(0.3, n_jobs=4, trace_seed=1).workload()
         tasks = [
-            TaskSpec.for_traffic(wl, "cfs", seed=s, sim=SIM) for s in range(2)
+            ExperimentSpec.for_traffic(wl, "cfs", seed=s, sim=SIM)
+            for s in range(2)
         ]
         c = Campaign.at(tmp_path, max_workers=1, batch=True)
         results = c.gather(tasks)

@@ -13,15 +13,17 @@ import json
 
 import pytest
 
-from repro.campaign.cachekey import cache_key
+from repro.campaign import spec as spec_mod
+from repro.campaign.cachekey import cache_key, task_fingerprint
 from repro.campaign.core import Campaign, CampaignError
 from repro.campaign.executor import ExecutorConfig, TaskFailure
-from repro.campaign.spec import SimParams, TaskSpec, WorkloadRef
+from repro.campaign.spec import SimParams
 from repro.campaign.store import ResultStore
 from repro.campaign.telemetry import Telemetry
 from repro.experiments.fig1 import run_fig1
 from repro.experiments.serialization import run_result_to_full_json
 from repro.experiments.sweep import sweep_configurations
+from repro.spec import ExperimentSpec
 from repro.workloads.suite import WorkloadSpec, workload
 
 TINY = WorkloadSpec(
@@ -29,16 +31,34 @@ TINY = WorkloadSpec(
 )
 SIM = SimParams(work_scale=0.02)
 
-#: Fails only at execution time: the app name resolves in the worker,
-#: when the by-value WorkloadRef is rebuilt into a live WorkloadSpec.
-BAD_WORKLOAD = WorkloadRef(
-    name="bad", apps=("no-such-app",), include_kmeans=False, threads_per_app=2
+#: A valid spec whose run the ``worker_fault`` fixture makes fail.
+BAD = ExperimentSpec.for_workload(
+    WorkloadSpec(name="bad", apps=("jacobi",), include_kmeans=False,
+                 threads_per_app=2),
+    "dike", seed=7, sim=SIM,
 )
 
 
-def _tasks() -> list[TaskSpec]:
+@pytest.fixture
+def worker_fault(monkeypatch):
+    """Fail the worker's engine build for the ``bad`` workload.
+
+    Every spec field is validated at construction, so an execution-time
+    failure has to be injected (the serial executor runs in-process).
+    """
+    build = spec_mod.task_engine
+
+    def task_engine(spec, bus=None):
+        if spec.workload.name == "bad":
+            raise RuntimeError("injected worker failure")
+        return build(spec, bus=bus)
+
+    monkeypatch.setattr(spec_mod, "task_engine", task_engine)
+
+
+def _tasks() -> list[ExperimentSpec]:
     return [
-        TaskSpec.for_workload(TINY, policy, seed=7, sim=SIM)
+        ExperimentSpec.for_workload(TINY, policy, seed=7, sim=SIM)
         for policy in ("cfs", "dike", "dio")
     ]
 
@@ -59,7 +79,7 @@ class TestDeterminism:
             assert run_result_to_full_json(f) == run_result_to_full_json(r)
 
     def test_duplicate_tasks_share_one_run(self):
-        t = TaskSpec.for_workload(TINY, "cfs", seed=7, sim=SIM)
+        t = ExperimentSpec.for_workload(TINY, "cfs", seed=7, sim=SIM)
         res = Campaign.inline().gather([t, _tasks()[1], t])
         assert res[0] is res[2]
 
@@ -105,21 +125,16 @@ class TestCachingAndResume:
 
 
 class TestFailurePolicy:
-    def test_strict_gather_raises_campaign_error(self):
-        # Policy params are validated at spec-construction time now, so an
-        # execution-time failure needs a workload that only fails in the
-        # worker (WorkloadRef is by-value and unvalidated until rebuilt).
-        bad = TaskSpec(workload=BAD_WORKLOAD, policy="dike", seed=7, sim=SIM)
+    def test_strict_gather_raises_campaign_error(self, worker_fault):
         camp = Campaign(executor=ExecutorConfig(retries=0))
         with pytest.raises(CampaignError) as err:
-            camp.gather([bad])
+            camp.gather([BAD])
         assert err.value.failures[0].kind == "error"
 
-    def test_lenient_gather_returns_failure_records_in_order(self):
-        bad = TaskSpec(workload=BAD_WORKLOAD, policy="dike", seed=7, sim=SIM)
+    def test_lenient_gather_returns_failure_records_in_order(self, worker_fault):
         good = _tasks()[0]
         out = Campaign(executor=ExecutorConfig(retries=0)).gather(
-            [good, bad], strict=False
+            [good, BAD], strict=False
         )
         assert out[0].n_quanta > 0
         assert isinstance(out[1], TaskFailure)
@@ -152,7 +167,7 @@ class TestContinuousInvariants:
         results = camp.gather(_tasks())
         for task, result in zip(_tasks(), results):
             digest = result.info["invariants"]
-            assert digest["total"] == 0, f"{task.policy}: {digest}"
+            assert digest["total"] == 0, f"{task.policy.name}: {digest}"
             assert digest["checked"] > 0
         assert telemetry.invariant_tasks == 3
         assert telemetry.invariant_violations == 0
@@ -182,7 +197,7 @@ class TestContinuousInvariants:
         checked = replace(plain, invariants=True)
         assert cache_key(plain) != cache_key(checked)
         # and the plain task's dict (hence key) is unchanged by the field
-        assert "invariants" not in plain.to_dict()
+        assert "invariants" not in task_fingerprint(plain)
 
     def test_resume_replays_recorded_counts_instead_of_zero(self, tmp_path):
         events = tmp_path / "events.jsonl"

@@ -16,16 +16,19 @@ from pathlib import Path
 
 from repro.campaign import executor as executor_mod
 from repro.campaign.executor import ExecutorConfig, TaskFailure, run_tasks
-from repro.campaign.spec import TaskSpec, WorkloadRef
+from repro.campaign.spec import WorkloadRef
 from repro.campaign.telemetry import Telemetry
+from repro.spec import ExperimentSpec, PolicyRef
 
 
-def _task(name: str, seed: int = 0) -> TaskSpec:
+def _task(name: str, seed: int = 0) -> ExperimentSpec:
     """A spec the scripted worker interprets; never actually simulated."""
-    return TaskSpec(WorkloadRef(name=name, apps=()), "cfs", seed=seed)
+    return ExperimentSpec(
+        WorkloadRef(name=name, apps=("jacobi",)), PolicyRef("cfs"), seed=seed
+    )
 
 
-def _scripted(task: TaskSpec) -> str:
+def _scripted(task: ExperimentSpec) -> str:
     name = task.workload.name
     if name == "boom":
         raise RuntimeError("injected crash")

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.config import AdaptationGoal, DikeConfig
-from repro.core.dike import DikeScheduler, dike, dike_af, dike_ap
+from repro.core.dike import DikeScheduler
 from repro.policies import REGISTRY
 from repro.metrics.fairness import fairness
 from repro.schedulers.cfs import CFSScheduler
@@ -36,30 +36,6 @@ class TestConstruction:
         sched = REGISTRY.build("dike-af", {"fairness_threshold": 0.25})
         assert sched.config.fairness_threshold == 0.25
         assert sched.config.goal is AdaptationGoal.FAIRNESS
-
-
-class TestDeprecatedFactories:
-    """The pre-registry factories keep working for one deprecation cycle."""
-
-    def test_names_and_goals(self):
-        with pytest.warns(DeprecationWarning):
-            assert dike().name == "dike"
-        with pytest.warns(DeprecationWarning):
-            af = dike_af()
-        with pytest.warns(DeprecationWarning):
-            ap = dike_ap()
-        assert af.config.goal is AdaptationGoal.FAIRNESS
-        assert ap.config.goal is AdaptationGoal.PERFORMANCE
-
-    def test_dike_rejects_adaptive_config(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            dike(DikeConfig(goal=AdaptationGoal.FAIRNESS))
-
-    def test_custom_config_carried(self):
-        with pytest.warns(DeprecationWarning):
-            sched = dike(DikeConfig(swap_size=4, quanta_length_s=0.2))
-        assert sched.config.swap_size == 4
-        assert sched.quantum_length_s() == 0.2
 
 
 class TestEndToEnd:

@@ -39,15 +39,6 @@ class TestRunWorkload:
         standard = {s.name for s in REGISTRY.tagged("standard")}
         assert standard == {"cfs", "dio", "dike", "dike-af", "dike-ap"}
 
-    def test_standard_policies_shim_warns(self):
-        # Backward compatibility: the old constant still resolves (to the
-        # registry's standard factories) but flags itself as deprecated.
-        import repro.experiments.runner as runner
-
-        with pytest.warns(DeprecationWarning):
-            legacy = runner.STANDARD_POLICIES
-        assert set(legacy) == {s.name for s in REGISTRY.tagged("standard")}
-
     def test_run_policies_same_workload_build(self):
         results = run_policies(SMALL, work_scale=0.01)
         names = {r.policy_name for r in results.values()}

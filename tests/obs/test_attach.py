@@ -15,7 +15,6 @@ from repro.obs import (
     RingBufferSink,
     attach,
 )
-from repro.obs.wiring import wire_invariant_sink, wire_metrics, wire_trace_sinks
 from repro.sim.engine import SimulationEngine
 
 
@@ -163,28 +162,6 @@ class TestRunWorkloadAcceptsAttachment:
             topology=small_topology, bus=att,
         )
         assert att.tally.total() > 0
-
-
-class TestLegacyShims:
-    def test_wire_trace_sinks_warns_and_delegates(self, tmp_path):
-        bus = EventBus()
-        with pytest.warns(DeprecationWarning, match="wire_trace_sinks"):
-            jsonl, chrome = wire_trace_sinks(bus, tmp_path / "t.jsonl")
-        assert jsonl in bus.sinks
-        assert chrome is None
-
-    def test_wire_invariant_sink_warns_and_delegates(self):
-        bus = EventBus()
-        with pytest.warns(DeprecationWarning, match="wire_invariant_sink"):
-            sink = wire_invariant_sink(bus, swap_size=4, policy="dike")
-        assert sink in bus.sinks
-        assert sink.swap_size == 4
-
-    def test_wire_metrics_warns_and_delegates(self):
-        bus = EventBus()
-        with pytest.warns(DeprecationWarning, match="wire_metrics"):
-            registry = wire_metrics(bus)
-        assert bus.metrics is registry
 
 
 class TestPublicSurface:

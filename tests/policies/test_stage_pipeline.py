@@ -96,29 +96,3 @@ class TestAblationSchedulers:
             work_scale=0.05,
         )
         assert no_dec.migration_count > dike.migration_count
-
-
-class TestDeprecatedFactories:
-    def test_dike_factory_warns_and_builds(self):
-        from repro.core.dike import dike
-
-        with pytest.warns(DeprecationWarning, match="registry"):
-            sched = dike()
-        assert sched.name == "dike"
-
-    def test_goal_variants_warn_and_keep_names(self):
-        from repro.core.dike import dike_af, dike_ap
-
-        with pytest.warns(DeprecationWarning):
-            af = dike_af()
-        with pytest.warns(DeprecationWarning):
-            ap = dike_ap()
-        assert af.name == "dike-af"
-        assert ap.name == "dike-ap"
-
-    def test_registry_builds_do_not_warn(self, recwarn):
-        for name in ("dike", "dike-af", "dike-ap"):
-            REGISTRY.build(name)
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]

@@ -139,6 +139,25 @@ class TestPublicApiQuality:
                     undocumented.append(name)
         assert undocumented == []
 
+    def test_public_surface_is_warning_free(self):
+        """``from repro import *`` and every ``__all__`` name of every
+        module resolve without a DeprecationWarning."""
+        import importlib
+        import pkgutil
+        import warnings
+
+        import repro
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            exec("from repro import *", {})
+            for modinfo in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+                if modinfo.name.endswith("__main__"):
+                    continue
+                module = importlib.import_module(modinfo.name)
+                for name in getattr(module, "__all__", ()):
+                    getattr(module, name)
+
     def test_all_modules_have_docstrings(self):
         import importlib
         import pkgutil

@@ -147,45 +147,35 @@ class TestFacade:
             assert name in repro.__all__
 
 
-class TestDeprecationShims:
-    def test_topologies_mapping_warns(self):
-        import repro.campaign.spec as spec_mod
-
-        with pytest.warns(DeprecationWarning, match="TOPOLOGIES"):
-            table = spec_mod.TOPOLOGIES
-        assert "heterogeneous" in table
-
-    def test_build_topology_warns_and_builds(self):
-        from repro.campaign.spec import build_topology
-
-        with pytest.warns(DeprecationWarning):
-            topo = build_topology("heterogeneous")
-        assert topo.n_vcores == 40
-
-
 class TestSimParamsIntegration:
-    def test_topology_params_omitted_when_default(self):
+    @staticmethod
+    def _spec(**sim):
         from repro.campaign.spec import SimParams
+        from repro.spec import ExperimentSpec
+        from repro.workloads.suite import workload
 
-        out = SimParams(work_scale=0.05).to_dict()
+        return ExperimentSpec.for_workload(
+            workload("wl1"), "dike", sim=SimParams(work_scale=0.05, **sim)
+        )
+
+    def test_topology_params_omitted_when_default(self):
+        from repro.campaign.cachekey import task_fingerprint
+
+        out = task_fingerprint(self._spec())["sim"]
         assert "topology_params" not in out  # pre-existing cache keys survive
 
     def test_topology_params_sorted_and_serialized_when_set(self):
-        from repro.campaign.spec import SimParams
+        from repro.campaign.cachekey import task_fingerprint
 
-        sim = SimParams(
-            work_scale=0.05,
+        spec = self._spec(
             topology="scale128",
             topology_params=(("smt", 1), ("cores_per_socket", 4)),
         )
-        assert sim.topology_params == (("cores_per_socket", 4), ("smt", 1))
-        out = sim.to_dict()
+        assert spec.topology.params == (("cores_per_socket", 4), ("smt", 1))
+        out = task_fingerprint(spec)["sim"]
         assert out["topology"] == "scale128"
         assert out["topology_params"] == [["cores_per_socket", 4], ["smt", 1]]
 
     def test_bad_topology_params_rejected_at_construction(self):
-        from repro.campaign.spec import SimParams
-
         with pytest.raises(ValueError):
-            SimParams(work_scale=0.05, topology="scale128",
-                      topology_params=(("martian", 1),))
+            self._spec(topology="scale128", topology_params=(("martian", 1),))

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign.cachekey import cache_key
-from repro.campaign.spec import execute_task
+from repro.campaign.spec import SimParams, execute_task
 from repro.experiments.serialization import (
     run_result_from_dict,
     run_result_to_full_dict,
 )
 from repro.policies.registry import UnknownPolicyError
+from repro.spec import ExperimentSpec
 from repro.traffic import TrafficCampaignSpec, TrafficSpec, plan_traffic
 
 
@@ -76,14 +79,11 @@ class TestTrafficCampaignSpec:
     def test_traffic_flag_separates_cache_keys(self):
         """A traffic task must not collide with the same workload run as a
         plain task (its result carries the extra info payload)."""
-        from repro.campaign.spec import SimParams, TaskSpec, WorkloadRef
-
-        ref = WorkloadRef.from_traffic(TrafficSpec(n_jobs=2).workload())
-        sim = SimParams(work_scale=0.02)
-        plain = TaskSpec(workload=ref, policy="cfs", seed=7, sim=sim)
-        traffic = TaskSpec(
-            workload=ref, policy="cfs", seed=7, sim=sim, traffic=True
+        traffic = ExperimentSpec.for_traffic(
+            TrafficSpec(n_jobs=2).workload(), "cfs", seed=7,
+            sim=SimParams(work_scale=0.02),
         )
+        plain = replace(traffic, traffic=False)
         assert cache_key(plain) != cache_key(traffic)
 
 

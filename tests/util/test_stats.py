@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.util.stats import (
     ExponentialMean,
-    MovingMean,
     coefficient_of_variation,
     geometric_mean,
     left_sum,
@@ -94,52 +93,6 @@ class TestGeometricMean:
     def test_between_min_and_max(self, values):
         g = geometric_mean(values)
         assert min(values) - 1e-9 <= g <= max(values) + 1e-9
-
-
-class TestMovingMean:
-    def test_nan_before_first_update(self):
-        assert math.isnan(MovingMean().value)
-
-    def test_cumulative_when_unbounded(self):
-        mm = MovingMean(window=None)
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            mm.update(v)
-        assert mm.value == pytest.approx(2.5)
-
-    def test_window_evicts_old_values(self):
-        mm = MovingMean(window=2)
-        mm.update(10.0)
-        mm.update(2.0)
-        mm.update(4.0)
-        assert mm.value == pytest.approx(3.0)
-
-    def test_update_returns_current_mean(self):
-        mm = MovingMean(window=4)
-        assert mm.update(6.0) == pytest.approx(6.0)
-
-    def test_reset(self):
-        mm = MovingMean(window=3)
-        mm.update(1.0)
-        mm.reset()
-        assert math.isnan(mm.value)
-
-    def test_n_updates_counts_lifetime(self):
-        mm = MovingMean(window=2)
-        for v in range(5):
-            mm.update(float(v))
-        assert mm.n_updates == 5
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            MovingMean(window=0)
-
-    @given(st.lists(finite_positive, min_size=1, max_size=50), st.integers(1, 10))
-    def test_windowed_mean_matches_numpy(self, values, window):
-        mm = MovingMean(window=window)
-        for v in values:
-            mm.update(v)
-        expected = float(np.mean(values[-window:]))
-        assert mm.value == pytest.approx(expected, rel=1e-9)
 
 
 class TestExponentialMean:
