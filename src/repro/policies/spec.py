@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.schedulers.base import Scheduler
-from repro.util.validation import require
+from repro.util.validation import is_finite_number, require
 
 __all__ = ["ParamSpec", "PolicySpec", "PolicyFactory"]
 
@@ -70,9 +70,10 @@ class ParamSpec:
                     f"parameter {self.name!r} must be an int, got {value!r}"
                 )
         elif self.type is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not is_finite_number(value):
                 raise ValueError(
-                    f"parameter {self.name!r} must be a number, got {value!r}"
+                    f"parameter {self.name!r} must be a finite number, "
+                    f"got {value!r}"
                 )
         elif not isinstance(value, self.type):
             raise ValueError(

@@ -7,6 +7,7 @@ so misconfiguration fails at build time rather than mid-simulation.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "check_in_range",
     "check_fraction",
     "check_type",
+    "is_finite_number",
 ]
 
 
@@ -64,3 +66,13 @@ def check_type(value: Any, types: type | tuple[type, ...], name: str) -> Any:
         )
         raise TypeError(f"{name} must be {expected}, got {type(value).__name__}")
     return value
+
+
+def is_finite_number(value: Any) -> bool:
+    """Whether ``value`` is a finite ``int``/``float`` (``bool`` is not)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
