@@ -9,8 +9,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from conftest import run_once
 
 from repro.experiments.runner import run_workload

@@ -18,8 +18,6 @@ from __future__ import annotations
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from repro import (
     REGISTRY,
     CFSScheduler,

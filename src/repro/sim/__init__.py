@@ -35,7 +35,7 @@ from repro.sim.phases import (
 from repro.sim.process import ProcessGroup
 from repro.sim.results import BenchmarkResult, PredictionLog, PredictionRecord, RunResult
 from repro.sim.smt import smt_cycle_rates
-from repro.sim.thread import SimThread, ThreadState
+from repro.sim.thread import SimThread
 from repro.sim.topology import (
     SocketSpec,
     Topology,
@@ -74,7 +74,6 @@ __all__ = [
     "RunResult",
     "smt_cycle_rates",
     "SimThread",
-    "ThreadState",
     "SocketSpec",
     "Topology",
     "VirtualCore",

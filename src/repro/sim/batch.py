@@ -23,7 +23,7 @@ Design
   columns of every lane's :class:`~repro.sim.state.SimState` into shared
   flat arrays and *rebinds* each lane's columns to contiguous views of
   them.  ``SimState`` only ever mutates its arrays in place, so lane
-  methods (``advance``, ``place``, ``migrate``, ``release_ready_barriers``)
+  methods (``place``, ``migrate``, ``finish``, ``release_ready_barriers``)
   keep working unchanged while the kernel reads and writes the shared
   backing directly.  Lanes may have different thread counts.
 * **Bit-equality by construction.**  Elementwise kernels are batching-
@@ -229,4 +229,4 @@ class BatchEngine:
                 if gate is None or opened[gate][r]:
                     lanes[r]._decide(counters[r])
 
-        return [eng._finish() for eng in lanes]
+        return [eng._build_result() for eng in lanes]

@@ -32,9 +32,10 @@ the trace recorder nor the event bus is active, the quantum loop also
 skips building the per-quantum assignment and access-rate dictionaries
 (the zero-observer fast path), and a scheduler whose ``decide`` is gated
 (`repro.schedulers.base.gated`) gets neither a counter window nor a
-call on quanta where it cannot act.  The
-:class:`~repro.sim.thread.SimThread` objects are synced from the arrays
-once, when the run ends.
+call on quanta where it cannot act.  The state is the only thread
+lifecycle: the :class:`~repro.sim.thread.SimThread` records are static,
+and the result's finish times and migration counts are read from its
+columns.
 """
 
 from __future__ import annotations
@@ -423,7 +424,6 @@ class SimulationEngine:
                 target = min(self.topology.vcores, key=placement_key)
                 self.state.place(t.tid, target.vcore_id)
                 phys_load[target.physical_id] += 1
-            g.placed = True
             self._in_system += 1
             if self._in_system > self._peak_in_system:
                 self._peak_in_system = self._in_system
@@ -487,16 +487,8 @@ class SimulationEngine:
         self._apply_initial_placement()
         self._decide_gate = self.scheduler.decide_gate()
 
-        for g in self.groups:
-            if g.arrival_s <= 0.0:
-                g.placed = True
-                self._in_system += 1
+        self._in_system = sum(g.arrival_s <= 0.0 for g in self.groups)
         self._peak_in_system = self._in_system
-
-    def _finish(self) -> RunResult:
-        """Run epilogue: sync thread records and build the result."""
-        self.state.sync_threads()
-        return self._build_result()
 
     def run(self) -> RunResult:
         """Execute the simulation to completion and return the result."""
@@ -506,7 +498,7 @@ class SimulationEngine:
             counters = self._execute_quantum(self._quantum_length())
             if gate is None or gate(self.topology, self.state.occupancy[None])[0]:
                 self._decide(counters)
-        return self._finish()
+        return self._build_result()
 
     @timed("engine.quantum_s")
     def _execute_quantum(self, qlen: float) -> QuantumCounters | None:
@@ -778,17 +770,20 @@ class SimulationEngine:
     # ---------------------------------------------------------------- result
 
     def _build_result(self) -> RunResult:
+        """Run epilogue: the result, read from the state columns."""
+        st = self.state
+        # An unfinished thread (truncated run) never finishes: +inf.
+        finish = np.where(st.finished, st.finish_time, np.inf).tolist()
+        migrations = st.n_migrations.tolist()
         benchmarks = []
         for g in self.groups:
-            finish = tuple(
-                t.finish_time if t.finished else float("inf") for t in g.threads
-            )
+            tids = [t.tid for t in g.threads]
             benchmarks.append(
                 BenchmarkResult(
                     group_id=g.group_id,
                     benchmark=g.benchmark,
-                    thread_finish_times=finish,
-                    n_migrations=sum(t.n_migrations for t in g.threads),
+                    thread_finish_times=tuple(finish[t] for t in tids),
+                    n_migrations=sum(migrations[t] for t in tids),
                     arrival_s=g.arrival_s,
                 )
             )

@@ -1,7 +1,8 @@
 """Work-indexed phase traces describing a thread's execution behaviour.
 
-A thread's demand on the machine is modelled as a sequence of
-:class:`PhaseSegment` objects.  Each segment covers a contiguous span of
+A thread's demand on the machine is modelled as a :class:`PhaseTrace`: a
+sequence of segments held as aligned columns (one :class:`PhaseSegment` is
+one row, built on demand).  Each segment covers a contiguous span of
 *work* (retired instructions) during which the thread's microarchitectural
 behaviour is constant:
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.validation import check_fraction, check_positive, require
+from repro.util.validation import check_fraction, require
 
 __all__ = [
     "PhaseSegment",
@@ -48,9 +49,44 @@ __all__ = [
 ]
 
 
+#: The rules every segment keeps, one per column in row order: ``(name,
+#: lowest, highest, the rule a value below / above breaks)``.  The
+#: smallest positive float as the lowest value means "> 0", the largest
+#: finite float as the highest means "finite"; NaN breaks the lower bound.
+_TINY = float(np.nextafter(0.0, 1.0))
+_MAX = float(np.finfo(np.float64).max)
+_RULES = (
+    ("work", _TINY, _MAX, "> 0", "finite"),
+    ("cpi", _TINY, _MAX, "> 0", "finite"),
+    ("api", 0.0, _MAX, ">= 0", "finite"),
+    ("miss_ratio", 0.0, 1.0, "in [0.0, 1.0]", "in [0.0, 1.0]"),
+)
+_LOWEST = np.array([[rule[1]] for rule in _RULES])
+_HIGHEST = np.array([[rule[2]] for rule in _RULES])
+
+
+def _check_columns(block: np.ndarray) -> None:
+    """Validate a ``(4, n)`` block of per-segment ``work``/``cpi``/``api``/
+    ``miss_ratio`` columns against :data:`_RULES`.
+
+    Raises ``ValueError`` naming the field for the first bad segment, in
+    segment order and, within a segment, in field order.
+    """
+    above_lowest = block >= _LOWEST
+    ok = above_lowest & (block <= _HIGHEST)
+    if ok.all():
+        return
+    row = int(np.argmin(ok.all(axis=0)))
+    field = int(np.argmin(ok[:, row]))
+    name, _, _, below, above = _RULES[field]
+    rule = above if above_lowest[field, row] else below
+    raise ValueError(f"{name} must be {rule}, got {float(block[field, row])}")
+
+
 @dataclass(frozen=True)
 class PhaseSegment:
-    """Constant-behaviour span of ``work`` instructions."""
+    """Constant-behaviour span of ``work`` instructions: one row of a
+    :class:`PhaseTrace`."""
 
     work: float
     cpi: float
@@ -58,10 +94,12 @@ class PhaseSegment:
     miss_ratio: float
 
     def __post_init__(self) -> None:
-        check_positive(self.work, "work")
-        check_positive(self.cpi, "cpi")
-        require(self.api >= 0.0, f"api must be >= 0, got {self.api}")
-        check_fraction(self.miss_ratio, "miss_ratio")
+        _check_columns(
+            np.array(
+                [[self.work], [self.cpi], [self.api], [self.miss_ratio]],
+                dtype=np.float64,
+            )
+        )
 
     @property
     def mpi(self) -> float:
@@ -70,34 +108,64 @@ class PhaseSegment:
 
 
 class PhaseTrace:
-    """An immutable sequence of segments with O(log n) lookup by work index.
+    """An immutable sequence of segments, held as aligned columns.
 
-    The trace's total work is the thread's total instruction count; the last
-    segment is implicitly extended if a caller queries past the end (this
-    only happens through floating-point slack at completion).
+    The trace's total work is the thread's total instruction count; the
+    engine (`repro.sim.state`) treats the last segment as extending past
+    the end (which only floating-point slack at completion reaches).
+    ``PhaseTrace(segments)`` converts rows to columns; :meth:`from_columns`
+    takes the columns directly.
     """
 
     def __init__(self, segments: list[PhaseSegment] | tuple[PhaseSegment, ...]) -> None:
         segments = tuple(segments)
-        require(len(segments) >= 1, "a trace needs at least one segment")
-        self._segments = segments
-        bounds = np.cumsum([s.work for s in segments])
-        self._bounds = bounds
-        self._bounds.setflags(write=False)
-        # Dense per-segment parameter arrays for the engine's
-        # structure-of-arrays gather (`repro.sim.state`): one fancy-indexed
-        # read replaces a Python attribute walk per thread per quantum.
-        self._works = np.array([s.work for s in segments], dtype=np.float64)
-        self._cpis = np.array([s.cpi for s in segments], dtype=np.float64)
-        self._apis = np.array([s.api for s in segments], dtype=np.float64)
-        self._miss_ratios = np.array(
-            [s.miss_ratio for s in segments], dtype=np.float64
+        self._set_columns(
+            [s.work for s in segments],
+            [s.cpi for s in segments],
+            [s.api for s in segments],
+            [s.miss_ratio for s in segments],
         )
-        for arr in (self._works, self._cpis, self._apis, self._miss_ratios):
-            arr.setflags(write=False)
+
+    @classmethod
+    def from_columns(cls, work, cpi, api, miss_ratio) -> "PhaseTrace":
+        """A trace from aligned per-segment ``work``/``cpi``/``api``/
+        ``miss_ratio`` sequences, validated as :class:`PhaseSegment` rows
+        are (the columns are copied)."""
+        trace = cls.__new__(cls)
+        trace._set_columns(work, cpi, api, miss_ratio)
+        return trace
+
+    def _set_columns(self, work, cpi, api, miss_ratio) -> None:
+        n = len(work)
+        require(n >= 1, "a trace needs at least one segment")
+        require(
+            len(cpi) == len(api) == len(miss_ratio) == n,
+            "segment columns must be of equal length",
+        )
+        block = np.array((work, cpi, api, miss_ratio), dtype=np.float64)
+        require(block.shape == (4, n), "segment columns must be 1-D")
+        _check_columns(block)
+        block.setflags(write=False)
+        # Read-only row views: the dense per-segment columns the engine's
+        # structure-of-arrays gather reads (`repro.sim.state`).
+        self._works, self._cpis, self._apis, self._miss_ratios = block
+        self._bounds = np.cumsum(self._works)
+        self._bounds.setflags(write=False)
+        self._segments: tuple[PhaseSegment, ...] | None = None
 
     @property
     def segments(self) -> tuple[PhaseSegment, ...]:
+        """The rows, built from the columns on first read."""
+        if self._segments is None:
+            self._segments = tuple(
+                PhaseSegment(w, c, a, m)
+                for w, c, a, m in zip(
+                    self._works.tolist(),
+                    self._cpis.tolist(),
+                    self._apis.tolist(),
+                    self._miss_ratios.tolist(),
+                )
+            )
         return self._segments
 
     @property
@@ -132,35 +200,18 @@ class PhaseTrace:
 
     @property
     def n_segments(self) -> int:
-        return len(self._segments)
-
-    def segment_index_at(self, work: float) -> int:
-        """Index of the segment covering work position ``work``."""
-        if work < 0:
-            raise ValueError(f"work must be >= 0, got {work}")
-        idx = int(np.searchsorted(self._bounds, work, side="right"))
-        return min(idx, len(self._segments) - 1)
-
-    def segment_at(self, work: float) -> PhaseSegment:
-        """Segment covering work position ``work``."""
-        return self._segments[self.segment_index_at(work)]
-
-    def work_to_segment_end(self, work: float) -> float:
-        """Instructions remaining until the current segment's boundary."""
-        idx = self.segment_index_at(work)
-        return max(float(self._bounds[idx]) - work, 0.0)
+        return self._works.size
 
     def mean_mpi(self) -> float:
         """Work-weighted mean misses per instruction (rough intensity)."""
-        weights = np.array([s.work for s in self._segments])
-        mpis = np.array([s.mpi for s in self._segments])
+        weights = self._works
+        mpis = self._apis * self._miss_ratios
         return float((weights * mpis).sum() / weights.sum())
 
     def mean_miss_ratio(self) -> float:
         """Work-weighted mean LLC miss ratio (classification signal)."""
-        weights = np.array([s.work for s in self._segments])
-        ratios = np.array([s.miss_ratio for s in self._segments])
-        return float((weights * ratios).sum() / weights.sum())
+        weights = self._works
+        return float((weights * self._miss_ratios).sum() / weights.sum())
 
     def __repr__(self) -> str:
         return (
@@ -176,7 +227,7 @@ def steady_trace(
     miss_ratio: float,
 ) -> PhaseTrace:
     """A single-segment trace with constant behaviour."""
-    return PhaseTrace([PhaseSegment(total_work, cpi, api, miss_ratio)])
+    return PhaseTrace.from_columns([total_work], [cpi], [api], [miss_ratio])
 
 
 def warmup_trace(
@@ -198,11 +249,11 @@ def warmup_trace(
     require(0.0 < warmup_fraction < 1.0, "warmup_fraction must be in (0, 1)")
     w_warm = total_work * warmup_fraction
     w_rest = total_work - w_warm
-    return PhaseTrace(
-        [
-            PhaseSegment(w_warm, cpi, api * warmup_api_scale, warmup_miss_ratio),
-            PhaseSegment(w_rest, cpi, api, miss_ratio),
-        ]
+    return PhaseTrace.from_columns(
+        [w_warm, w_rest],
+        [cpi, cpi],
+        [api * warmup_api_scale, api],
+        [warmup_miss_ratio, miss_ratio],
     )
 
 
@@ -234,15 +285,16 @@ def bursty_trace(
         factors = 1.0 + rng.uniform(-jitter, jitter, size=n_cycles)
         cycle_work = cycle_work * factors
         cycle_work *= total_work / cycle_work.sum()
-    segments: list[PhaseSegment] = []
-    for w in cycle_work:
-        w_quiet = float(w) * (1.0 - burst_fraction)
-        w_burst = float(w) * burst_fraction
-        segments.append(PhaseSegment(w_quiet, cpi, api, quiet_miss_ratio))
-        segments.append(
-            PhaseSegment(w_burst, cpi, api * burst_api_scale, burst_miss_ratio)
-        )
-    return PhaseTrace(segments)
+    # Each cycle is a quiet segment, then a burst segment.
+    works = np.stack(
+        (cycle_work * (1.0 - burst_fraction), cycle_work * burst_fraction), axis=1
+    ).ravel()
+    return PhaseTrace.from_columns(
+        works,
+        np.full(works.size, cpi),
+        np.tile([api, api * burst_api_scale], n_cycles),
+        np.tile([quiet_miss_ratio, burst_miss_ratio], n_cycles),
+    )
 
 
 def perturbed(
@@ -262,7 +314,7 @@ def perturbed(
     # One batched draw replaces four scalar RNG calls per segment; the
     # unit draws are scaled exactly as ``Generator.uniform`` scales them
     # (``low + (high - low) * u``), so the output is bit-identical to the
-    # per-segment formulation while building long traces ~10x faster.
+    # per-segment formulation.
     n = trace.n_segments
     u = rng.random((n, 4))
     wj, rj = work_jitter, rate_jitter
@@ -272,11 +324,4 @@ def perturbed(
     misses = np.clip(
         trace.seg_miss_ratios * (1.0 + (-rj + 2.0 * rj * u[:, 3])), 0.0, 1.0
     )
-    return PhaseTrace(
-        [
-            PhaseSegment(work=w, cpi=c, api=a, miss_ratio=m)
-            for w, c, a, m in zip(
-                works.tolist(), cpis.tolist(), apis.tolist(), misses.tolist()
-            )
-        ]
-    )
+    return PhaseTrace.from_columns(works, cpis, apis, misses)

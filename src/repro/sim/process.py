@@ -1,23 +1,26 @@
-"""Benchmark process groups and barrier synchronisation.
+"""Benchmark process groups.
 
-A :class:`ProcessGroup` bundles the threads of one benchmark instance.  Two
-group-level behaviours live here:
+A :class:`ProcessGroup` bundles the threads of one benchmark instance.
+Two group-level behaviours follow from it, both run on the engine's
+:class:`~repro.sim.state.SimState` columns:
 
 * **barrier release** — the paper's KMEANS "produces excessive inter-thread
   communication"; we model it as periodic all-to-all barriers.  A thread
   that reaches its next barrier blocks (consuming no CPU or bandwidth)
-  until every sibling has arrived, which couples the progress of a group's
-  threads and transmits unfairness into wasted time;
-* **completion** — a benchmark finishes when its slowest thread finishes,
-  which is exactly why fairness (low dispersion of sibling runtimes)
-  improves benchmark-level performance.
+  until every sibling has arrived (:meth:`SimState.release_ready_barriers`),
+  which couples the progress of a group's threads and transmits
+  unfairness into wasted time;
+* **completion** — a benchmark finishes when its slowest thread finishes
+  (:attr:`repro.sim.results.BenchmarkResult.finish_time`), which is
+  exactly why fairness (low dispersion of sibling runtimes) improves
+  benchmark-level performance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.thread import SimThread, ThreadState
+from repro.sim.thread import SimThread
 from repro.util.validation import require
 
 __all__ = ["ProcessGroup"]
@@ -37,8 +40,6 @@ class ProcessGroup:
     benchmark: str
     threads: list[SimThread]
     arrival_s: float = 0.0
-    #: engine bookkeeping: whether wake-time placement has been applied
-    placed: bool = False
 
     def __post_init__(self) -> None:
         require(len(self.threads) >= 1, "a process group needs >= 1 thread")
@@ -51,53 +52,8 @@ class ProcessGroup:
     def n_threads(self) -> int:
         return len(self.threads)
 
-    @property
-    def finished(self) -> bool:
-        return all(t.finished for t in self.threads)
-
-    @property
-    def finish_time(self) -> float:
-        """Completion time of the slowest thread (nan until finished)."""
-        if not self.finished:
-            return float("nan")
-        return max(t.finish_time for t in self.threads)
-
-    def thread_finish_times(self) -> list[float]:
-        return [t.finish_time for t in self.threads]
-
-    def release_ready_barriers(self) -> int:
-        """Release the group's barrier if every live member has arrived.
-
-        A barrier is ready when every thread is either waiting at it or has
-        already finished (a finished thread implicitly passed all barriers).
-        Returns the number of threads released.
-
-        The check keys on the *barrier index* so a group whose members have
-        slightly different barrier work positions (per-thread jitter) still
-        synchronises on logical barrier k.
-        """
-        waiting = [t for t in self.threads if t.state is ThreadState.BARRIER_WAIT]
-        if not waiting:
-            return 0
-        k = min(t.barriers_passed for t in waiting)
-        # Every unfinished member must be waiting at barrier index k (or a
-        # later one, which cannot happen before k is released).
-        unfinished = [t for t in self.threads if not t.finished]
-        if not all(
-            t.state is ThreadState.BARRIER_WAIT and t.barriers_passed >= k
-            for t in unfinished
-        ):
-            return 0
-        released = 0
-        for t in unfinished:
-            if t.barriers_passed == k and t.state is ThreadState.BARRIER_WAIT:
-                t.release_barrier()
-                released += 1
-        return released
-
     def __repr__(self) -> str:
-        done = sum(t.finished for t in self.threads)
         return (
             f"ProcessGroup(id={self.group_id}, {self.benchmark}, "
-            f"{done}/{self.n_threads} finished)"
+            f"{self.n_threads} threads, arrival_s={self.arrival_s:g})"
         )

@@ -1,33 +1,28 @@
 """Persistent structure-of-arrays simulation state.
 
-:class:`SimState` is the engine's hot-path data structure: every mutable
-per-thread quantity (placement, progress, warm-up, penalties, lifecycle
-masks) and every per-thread phase parameter lives in a preallocated NumPy
-array indexed by tid.  The arrays are updated **incrementally** — on
-arrivals, migrations, suspensions, barrier waits and completions — instead
-of being re-derived from :class:`~repro.sim.thread.SimThread` objects each
-quantum, so a quantum's physics is a handful of vectorised operations over
-dense arrays.
+:class:`SimState` is the engine's hot-path data structure and the only
+place a thread's lifecycle lives: every mutable per-thread quantity
+(placement, progress, warm-up, penalties, barrier position, lifecycle
+masks, finish stamps, migration counts) and every per-thread phase
+parameter is a preallocated NumPy array indexed by tid.  The arrays are
+updated **incrementally** — on arrivals, migrations, suspensions, barrier
+waits and completions — so a quantum's physics is a handful of vectorised
+operations over dense arrays.  The :class:`~repro.sim.thread.SimThread`
+records it is built from are static; the run result is read from the
+columns.
 
 Phase parameters are cached per thread (``cpi``/``api``/``miss_ratio`` of
 the *current* segment) together with the work position at which the cached
 segment ends; the cache is refreshed only for threads that actually cross
 a segment boundary, replacing a per-thread binary search per quantum with
 a rare, targeted update.
-
-The :class:`~repro.sim.thread.SimThread` objects remain the construction
-interface and the final-state record (their mutable fields are synced back
-when the run ends, see :meth:`SimState.sync_threads`), but during the run
-the arrays are the single source of truth — including barrier group
-release, which mirrors :meth:`repro.sim.process.ProcessGroup.release_ready_barriers`
-semantics exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.thread import SimThread, ThreadState
+from repro.sim.thread import SimThread
 from repro.sim.topology import Topology
 
 __all__ = ["SimState"]
@@ -48,7 +43,6 @@ class SimState:
     def __init__(self, threads: list[SimThread], topology: Topology) -> None:
         n = len(threads)
         self.n = n
-        self.threads = threads
         self.topology = topology
 
         # --- static per-thread data ------------------------------------
@@ -70,9 +64,8 @@ class SimState:
             [t.trace.seg_miss_ratios for t in threads]
         )
 
-        # Barrier work positions, flattened the same way.  Positions use
-        # the same expression as ``SimThread.next_barrier_work``
-        # (``fraction * total_work``) so crossings resolve identically.
+        # Barrier work positions (``fraction * total_work``), flattened
+        # the same way.
         self.bar_count = np.array(
             [len(t.barrier_fractions) for t in threads], dtype=np.int64
         )
@@ -261,9 +254,8 @@ class SimState:
 
         Progress itself — work accrual, barrier waits, the clamp to total
         work — is columnar and done by the engine's quantum step
-        (`repro.sim.engine.step_quantum`), mirroring
-        :meth:`SimThread.advance`; this is the bookkeeping around a
-        completion: occupancy, group countdowns and the live window.
+        (`repro.sim.engine.step_quantum`); this is the bookkeeping around
+        a completion: occupancy, group countdowns and the live window.
         """
         self.finished[tids] = True
         self.finish_time[tids] = now
@@ -286,7 +278,12 @@ class SimState:
 
     def refresh_segments(self, tids: np.ndarray) -> None:
         """Re-resolve the cached phase segment of threads ``tids``, which
-        crossed their segment boundary."""
+        crossed their segment boundary.
+
+        A thread exactly on a segment's end is in the next segment; one
+        at or past its total work stays in the last segment, which has no
+        end (``seg_end`` is +inf).
+        """
         for tid in tids.tolist():
             off = self.seg_offset[tid]
             count = self.seg_count[tid]
@@ -306,10 +303,13 @@ class SimState:
     def release_ready_barriers(self) -> int:
         """Release every group barrier at which all live members wait.
 
-        Mirrors :meth:`ProcessGroup.release_ready_barriers`: a group's
-        barrier ``k`` (the smallest index among waiters) opens once every
-        unfinished member is waiting at index >= ``k``; members at exactly
-        ``k`` pass.  Returns the number of threads released.
+        A group's barrier ``k`` (the smallest index among waiters) opens
+        once every unfinished member is waiting at index >= ``k``; members
+        at exactly ``k`` pass.  A finished member implicitly passed every
+        barrier, so it never blocks its group.  The check keys on the
+        barrier *index*, so members whose barrier work positions differ
+        (per-thread jitter) still synchronise on logical barrier ``k``.
+        Returns the number of threads released.
         """
         lo, hi = self._live_lo, self._arrived_hi
         waiting_ids = np.flatnonzero(self.waiting[lo:hi]) + lo
@@ -342,27 +342,3 @@ class SimState:
             self.next_barrier[rel] = nxt
             released += int(rel.size)
         return released
-
-    # ------------------------------------------------------------- export
-
-    def sync_threads(self) -> None:
-        """Write final state back into the SimThread records.
-
-        Called once when the run ends (normally or truncated), so code and
-        tests that inspect thread objects after a run — work conservation
-        checks, process-group summaries — see the authoritative values.
-        """
-        for tid, t in enumerate(self.threads):
-            t.vcore = int(self.vcore[tid])
-            t.work_done = float(self.work_done[tid])
-            t.warmup_work_left = float(self.warmup_left[tid])
-            t.pending_migration_penalty = float(self.pending_penalty[tid])
-            t.barriers_passed = int(self.barriers_passed[tid])
-            t.n_migrations = int(self.n_migrations[tid])
-            if self.finished[tid]:
-                t.state = ThreadState.FINISHED
-                t.finish_time = float(self.finish_time[tid])
-            elif self.waiting[tid]:
-                t.state = ThreadState.BARRIER_WAIT
-            else:
-                t.state = ThreadState.RUNNABLE

@@ -1,35 +1,24 @@
-"""Mutable per-thread simulation state.
+"""The static record of one simulated thread.
 
-A :class:`SimThread` owns everything that changes as a thread executes:
-progress (``work_done``), placement (``vcore``), post-migration cache
-warm-up, barrier position, and completion.  The static behaviour lives in
-the thread's :class:`~repro.sim.phases.PhaseTrace`.
-
-Threads are intentionally dumb records — all physics happens in the engine
-(`repro.sim.engine`) which operates on dense arrays gathered from these
-objects each quantum.
+A :class:`SimThread` names a thread (dense tid, benchmark, process group,
+member index) and carries its behaviour: the
+:class:`~repro.sim.phases.PhaseTrace` and the barrier positions.  It never
+changes.  Everything that changes as a thread executes — placement,
+progress, warm-up, barrier position, completion — is a column of the
+engine's :class:`~repro.sim.state.SimState`, indexed by tid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from repro.sim.phases import PhaseSegment, PhaseTrace
+from repro.sim.phases import PhaseTrace
 from repro.util.validation import require
 
-__all__ = ["ThreadState", "SimThread"]
+__all__ = ["SimThread"]
 
 
-class ThreadState(Enum):
-    """Lifecycle of a simulated thread."""
-
-    RUNNABLE = "runnable"
-    BARRIER_WAIT = "barrier_wait"
-    FINISHED = "finished"
-
-
-@dataclass
+@dataclass(frozen=True)
 class SimThread:
     """One OS thread of one benchmark process.
 
@@ -59,106 +48,12 @@ class SimThread:
     trace: PhaseTrace
     barrier_fractions: tuple[float, ...] = ()
 
-    # --- mutable state -----------------------------------------------------
-    vcore: int = -1
-    work_done: float = 0.0
-    state: ThreadState = ThreadState.RUNNABLE
-    finish_time: float = float("nan")
-    #: instructions still to execute with a cold cache after a migration
-    warmup_work_left: float = 0.0
-    #: seconds of the *next* quantum lost to the migration context switch
-    pending_migration_penalty: float = 0.0
-    #: number of barriers already passed
-    barriers_passed: int = 0
-    #: total migrations this thread has experienced (diagnostics)
-    n_migrations: int = 0
-
     def __post_init__(self) -> None:
         require(self.tid >= 0, "tid must be >= 0")
         fr = tuple(sorted(self.barrier_fractions))
         require(all(0.0 < f < 1.0 for f in fr), "barrier fractions must be in (0,1)")
-        self.barrier_fractions = fr
-
-    # --- derived accessors --------------------------------------------------
+        object.__setattr__(self, "barrier_fractions", fr)
 
     @property
     def total_work(self) -> float:
         return self.trace.total_work
-
-    @property
-    def remaining_work(self) -> float:
-        return max(self.total_work - self.work_done, 0.0)
-
-    @property
-    def finished(self) -> bool:
-        return self.state is ThreadState.FINISHED
-
-    @property
-    def runnable(self) -> bool:
-        return self.state is ThreadState.RUNNABLE
-
-    def current_segment(self) -> PhaseSegment:
-        """Phase segment in effect at the current work position."""
-        return self.trace.segment_at(min(self.work_done, self.total_work - 1e-9))
-
-    @property
-    def next_barrier_work(self) -> float:
-        """Work position of the next barrier, or +inf if none remain."""
-        if self.barriers_passed >= len(self.barrier_fractions):
-            return float("inf")
-        return self.barrier_fractions[self.barriers_passed] * self.total_work
-
-    # --- state transitions (called by the engine) ----------------------------
-
-    def advance(self, work: float, now: float) -> None:
-        """Retire ``work`` instructions; handle barrier arrival / completion.
-
-        ``now`` is the simulation time at the *end* of the step, used to
-        stamp the finish time (the engine passes a sub-quantum-accurate
-        value when the thread finishes mid-quantum).
-        """
-        require(work >= 0.0, "work must be >= 0")
-        if self.finished:
-            return
-        target = self.work_done + work
-        barrier_at = self.next_barrier_work
-        if target >= barrier_at:
-            # Stop exactly at the barrier; the group releases us later.
-            self.work_done = barrier_at
-            self.state = ThreadState.BARRIER_WAIT
-            return
-        self.work_done = target
-        if self.work_done >= self.total_work:
-            self.work_done = self.total_work
-            self.state = ThreadState.FINISHED
-            self.finish_time = now
-
-    def release_barrier(self) -> None:
-        """Called by the process group once every member reached the barrier."""
-        require(
-            self.state is ThreadState.BARRIER_WAIT,
-            f"thread {self.tid} is not waiting at a barrier",
-        )
-        self.barriers_passed += 1
-        self.state = ThreadState.RUNNABLE
-
-    def migrate_to(self, vcore: int, penalty_s: float, warmup_work: float) -> None:
-        """Move to ``vcore``, paying a context-switch penalty and cache warm-up."""
-        require(vcore >= 0, "vcore must be >= 0")
-        self.vcore = vcore
-        self.pending_migration_penalty += penalty_s
-        self.warmup_work_left = max(self.warmup_work_left, warmup_work)
-        self.n_migrations += 1
-
-    def consume_quantum(self, seconds: float, work: float) -> None:
-        """Book-keep one quantum's execution: drain warm-up and penalties."""
-        self.warmup_work_left = max(self.warmup_work_left - work, 0.0)
-        # The migration penalty applies once, to the quantum just executed.
-        self.pending_migration_penalty = 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"SimThread(tid={self.tid}, {self.benchmark}#{self.member}, "
-            f"vcore={self.vcore}, done={self.work_done:.3g}/{self.total_work:.3g}, "
-            f"state={self.state.value})"
-        )

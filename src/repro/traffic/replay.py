@@ -19,12 +19,12 @@ instance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.sim.process import ProcessGroup
 from repro.traffic.trace import Job, JobTrace
 from repro.util.validation import require
-from repro.workloads.benchmark import BenchmarkSpec, instantiate
+from repro.workloads.benchmark import instantiate
 from repro.workloads.rodinia import app
 
 __all__ = [
@@ -74,14 +74,7 @@ class TrafficWorkload:
         for gid, job in enumerate(self.jobs):
             spec = app(job.app)
             if spec.n_threads != job.n_threads:
-                spec = BenchmarkSpec(
-                    spec.name,
-                    spec.intensity,
-                    spec.build_trace,
-                    n_threads=job.n_threads,
-                    barrier_fractions=spec.barrier_fractions,
-                    thread_jitter=spec.thread_jitter,
-                )
+                spec = replace(spec, n_threads=job.n_threads)
             group = instantiate(spec, gid, tid, seed, work_scale * job.size)
             group.arrival_s = job.arrival_s * work_scale
             groups.append(group)

@@ -10,7 +10,7 @@ information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.sim.process import ProcessGroup
 from repro.workloads.benchmark import BenchmarkSpec, instantiate
@@ -81,34 +81,18 @@ class WorkloadSpec:
         return n
 
     def build(self, seed: int, work_scale: float = 1.0) -> list[ProcessGroup]:
-        """Instantiate process groups with dense global thread ids."""
+        """Instantiate process groups with dense global thread ids: the
+        apps in order, then kmeans."""
+        specs = [app(name) for name in self.apps]
+        if self.include_kmeans:
+            specs.append(kmeans())
         groups: list[ProcessGroup] = []
         tid = 0
-        for gid, name in enumerate(self.apps):
-            spec = app(name)
+        for gid, spec in enumerate(specs):
             if spec.n_threads != self.threads_per_app:
-                spec = BenchmarkSpec(
-                    spec.name,
-                    spec.intensity,
-                    spec.build_trace,
-                    n_threads=self.threads_per_app,
-                    barrier_fractions=spec.barrier_fractions,
-                    thread_jitter=spec.thread_jitter,
-                )
+                spec = replace(spec, n_threads=self.threads_per_app)
             groups.append(instantiate(spec, gid, tid, seed, work_scale))
             tid += spec.n_threads
-        if self.include_kmeans:
-            spec = kmeans()
-            if spec.n_threads != self.threads_per_app:
-                spec = BenchmarkSpec(
-                    spec.name,
-                    spec.intensity,
-                    spec.build_trace,
-                    n_threads=self.threads_per_app,
-                    barrier_fractions=spec.barrier_fractions,
-                    thread_jitter=spec.thread_jitter,
-                )
-            groups.append(instantiate(spec, len(self.apps), tid, seed, work_scale))
         return groups
 
 

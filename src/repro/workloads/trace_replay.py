@@ -26,7 +26,7 @@ import csv
 from pathlib import Path
 from typing import Sequence
 
-from repro.sim.phases import PhaseSegment, PhaseTrace
+from repro.sim.phases import PhaseTrace
 from repro.sim.results import RunResult
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.util.validation import check_positive, require
@@ -54,7 +54,9 @@ def trace_from_samples(
     Consecutive windows with identical ratios are merged into one segment.
     """
     check_positive(cpi, "cpi")
-    segments: list[PhaseSegment] = []
+    works: list[float] = []
+    apis: list[float] = []
+    ratios: list[float] = []
     for i, (instr, accesses, misses) in enumerate(samples):
         if instr < min_instructions:
             continue
@@ -66,18 +68,19 @@ def trace_from_samples(
         api = accesses / instr
         miss_ratio = (misses / accesses) if accesses > 0 else 0.0
         if (
-            segments
-            and abs(segments[-1].api - api) < 1e-12
-            and abs(segments[-1].miss_ratio - miss_ratio) < 1e-12
+            works
+            and abs(apis[-1] - api) < 1e-12
+            and abs(ratios[-1] - miss_ratio) < 1e-12
         ):
-            prev = segments.pop()
-            segments.append(
-                PhaseSegment(prev.work + instr, cpi, api, miss_ratio)
-            )
+            # The merged segment takes the latest window's ratios.
+            works[-1] += instr
+            apis[-1], ratios[-1] = api, miss_ratio
         else:
-            segments.append(PhaseSegment(instr, cpi, api, miss_ratio))
-    require(segments, "no usable samples (all below min_instructions?)")
-    return PhaseTrace(segments)
+            works.append(instr)
+            apis.append(api)
+            ratios.append(miss_ratio)
+    require(works, "no usable samples (all below min_instructions?)")
+    return PhaseTrace.from_columns(works, [cpi] * len(works), apis, ratios)
 
 
 def benchmark_from_samples(
@@ -98,11 +101,9 @@ def benchmark_from_samples(
         intensity = "M" if base.mean_miss_ratio() > 0.10 else "C"
 
     def build(rng, scale: float) -> PhaseTrace:
-        return PhaseTrace(
-            [
-                PhaseSegment(seg.work * scale, seg.cpi, seg.api, seg.miss_ratio)
-                for seg in base.segments
-            ]
+        return PhaseTrace.from_columns(
+            base.seg_works * scale, base.seg_cpis, base.seg_apis,
+            base.seg_miss_ratios,
         )
 
     return BenchmarkSpec(name, intensity, build, n_threads=n_threads)

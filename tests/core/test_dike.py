@@ -11,7 +11,6 @@ from repro.core.dike import DikeScheduler
 from repro.policies import REGISTRY
 from repro.metrics.fairness import fairness
 from repro.schedulers.cfs import CFSScheduler
-from repro.schedulers.static import StaticScheduler
 
 from conftest import quick_run
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import DikeConfig
 from repro.experiments.runner import (
     run_policies,
     run_standalone,

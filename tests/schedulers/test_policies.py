@@ -83,11 +83,9 @@ class TestCFS:
             name="t", apps=("srad",), include_kmeans=False, threads_per_app=4
         )
         groups = spec.build(seed=0, work_scale=0.01)
-        # crowd all 4 threads onto physical core 0/1 (vcores 0..3)
-        for i, t in enumerate(groups[0].threads):
-            t.vcore = i  # vcores 0,1 phys0; 2,3 phys1
 
         class CrowdedCFS(CFSScheduler):
+            # crowd all 4 threads onto vcores 0..3 (0,1 phys0; 2,3 phys1)
             def initial_placement(self):
                 return {i: i for i in range(4)}
 

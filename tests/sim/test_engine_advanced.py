@@ -69,7 +69,9 @@ class TestWorkConservation:
         engine.run()
         for g in groups:
             for t in g.threads:
-                assert t.work_done == pytest.approx(totals[t.tid], rel=1e-9)
+                assert engine.state.work_done[t.tid] == pytest.approx(
+                    totals[t.tid], rel=1e-9
+                )
 
     def test_churn_does_not_create_or_destroy_work(
         self, tiny_workload, small_topology
@@ -82,7 +84,9 @@ class TestWorkConservation:
         engine.run()
         for g in groups:
             for t in g.threads:
-                assert t.work_done == pytest.approx(t.trace.total_work, rel=1e-9)
+                assert engine.state.work_done[t.tid] == pytest.approx(
+                    t.trace.total_work, rel=1e-9
+                )
 
 
 class TestTraceIntegrity:

@@ -1,29 +1,29 @@
-"""Tests for process groups and barrier release."""
+"""Tests for process-group construction.
+
+Barrier release and group completion run on `SimState` columns and are
+tested in ``test_state.py``.
+"""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
 from repro.sim.phases import steady_trace
 from repro.sim.process import ProcessGroup
-from repro.sim.thread import SimThread, ThreadState
+from repro.sim.thread import SimThread
 
 
-def make_group(n: int = 3, barriers: tuple[float, ...] = (0.5,)) -> ProcessGroup:
-    threads = [
+def make_threads(n: int = 3) -> list[SimThread]:
+    return [
         SimThread(
             tid=i,
             benchmark="bench",
             group=0,
             member=i,
             trace=steady_trace(1e9, 1.0, 0.05, 0.3),
-            barrier_fractions=barriers,
         )
         for i in range(n)
     ]
-    return ProcessGroup(group_id=0, benchmark="bench", threads=threads)
 
 
 class TestConstruction:
@@ -41,59 +41,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ProcessGroup(group_id=0, benchmark="x", threads=[t])
 
+    def test_negative_arrival_rejected(self):
+        with pytest.raises(ValueError):
+            ProcessGroup(0, "bench", make_threads(), arrival_s=-1.0)
 
-class TestCompletion:
-    def test_finish_time_nan_until_all_done(self):
-        g = make_group(2, barriers=())
-        g.threads[0].advance(2e9, now=1.0)
-        assert not g.finished
-        assert math.isnan(g.finish_time)
-
-    def test_finish_time_is_slowest_thread(self):
-        g = make_group(2, barriers=())
-        g.threads[0].advance(2e9, now=1.0)
-        g.threads[1].advance(2e9, now=4.0)
-        assert g.finished
-        assert g.finish_time == pytest.approx(4.0)
-
-
-class TestBarrierRelease:
-    def test_no_release_until_all_arrive(self):
-        g = make_group(3)
-        g.threads[0].advance(6e8, now=1.0)
-        g.threads[1].advance(6e8, now=1.0)
-        assert g.release_ready_barriers() == 0
-        assert g.threads[0].state is ThreadState.BARRIER_WAIT
-
-    def test_release_when_all_arrive(self):
-        g = make_group(3)
-        for t in g.threads:
-            t.advance(6e8, now=1.0)
-        released = g.release_ready_barriers()
-        assert released == 3
-        assert all(t.runnable for t in g.threads)
-        assert all(t.barriers_passed == 1 for t in g.threads)
-
-    def test_finished_thread_implicitly_passes(self):
-        # Barrier-free thread finishing early must not block siblings.
-        g = make_group(2, barriers=(0.5,))
-        # thread 0 waits at its barrier; thread 1 is pushed to completion
-        g.threads[0].advance(6e8, now=1.0)
-        g.threads[1].advance(6e8, now=1.0)
-        g.release_ready_barriers()
-        g.threads[1].advance(9e8, now=2.0)
-        assert g.threads[1].finished
-        g.threads[0].advance(1e8, now=2.0)
-        # no barrier remains for thread 0 below 1.0 fraction; it can finish
-        g.threads[0].advance(9e8, now=3.0)
-        assert g.finished
-
-    def test_no_waiters_is_noop(self):
-        g = make_group(2, barriers=())
-        assert g.release_ready_barriers() == 0
-
-    def test_thread_finish_times_list(self):
-        g = make_group(2, barriers=())
-        for i, t in enumerate(g.threads):
-            t.advance(2e9, now=float(i + 1))
-        assert g.thread_finish_times() == [1.0, 2.0]
+    def test_n_threads(self):
+        assert ProcessGroup(0, "bench", make_threads(3)).n_threads == 3

@@ -1,13 +1,17 @@
-"""Tests for per-thread simulation state."""
+"""Tests for the static per-thread record.
+
+A thread's lifecycle (progress, barriers, migration, completion) lives in
+`SimState` and is tested in ``test_state.py``.
+"""
 
 from __future__ import annotations
 
-import math
+import dataclasses
 
 import pytest
 
 from repro.sim.phases import steady_trace
-from repro.sim.thread import SimThread, ThreadState
+from repro.sim.thread import SimThread
 
 
 def make_thread(work: float = 1e9, barriers: tuple[float, ...] = ()) -> SimThread:
@@ -21,98 +25,22 @@ def make_thread(work: float = 1e9, barriers: tuple[float, ...] = ()) -> SimThrea
     )
 
 
-class TestLifecycle:
-    def test_initial_state_runnable(self):
-        t = make_thread()
-        assert t.state is ThreadState.RUNNABLE
-        assert t.work_done == 0.0
-        assert not t.finished
+class TestRecord:
+    def test_total_work_is_the_traces(self):
+        assert make_thread(work=2e9).total_work == 2e9
 
-    def test_advance_accumulates_work(self):
-        t = make_thread()
-        t.advance(1e8, now=1.0)
-        assert t.work_done == pytest.approx(1e8)
-        assert t.remaining_work == pytest.approx(9e8)
+    def test_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            make_thread().tid = 1
 
-    def test_finishes_at_total_work(self):
-        t = make_thread(work=1e9)
-        t.advance(2e9, now=3.5)
-        assert t.finished
-        assert t.finish_time == pytest.approx(3.5)
-        assert t.work_done == pytest.approx(1e9)
-
-    def test_advance_after_finish_is_noop(self):
-        t = make_thread(work=1e9)
-        t.advance(1e9, now=1.0)
-        t.advance(1e9, now=2.0)
-        assert t.finish_time == pytest.approx(1.0)
-
-    def test_negative_work_rejected(self):
-        t = make_thread()
+    def test_negative_tid_rejected(self):
         with pytest.raises(ValueError):
-            t.advance(-1.0, now=0.0)
+            SimThread(-1, "test", 0, 0, steady_trace(1e9, 1.0, 0.05, 0.3))
 
 
 class TestBarriers:
-    def test_stops_exactly_at_barrier(self):
-        t = make_thread(work=1e9, barriers=(0.5,))
-        t.advance(8e8, now=1.0)
-        assert t.state is ThreadState.BARRIER_WAIT
-        assert t.work_done == pytest.approx(5e8)
-        assert not t.finished
-
-    def test_release_resumes(self):
-        t = make_thread(work=1e9, barriers=(0.5,))
-        t.advance(8e8, now=1.0)
-        t.release_barrier()
-        assert t.runnable
-        assert t.barriers_passed == 1
-        t.advance(8e8, now=2.0)
-        assert t.finished
-
-    def test_release_when_not_waiting_rejected(self):
-        t = make_thread()
-        with pytest.raises(ValueError):
-            t.release_barrier()
-
-    def test_next_barrier_infinite_when_exhausted(self):
-        t = make_thread(work=1e9, barriers=(0.5,))
-        t.advance(8e8, now=1.0)
-        t.release_barrier()
-        assert math.isinf(t.next_barrier_work)
-
     def test_barrier_fractions_sorted_and_validated(self):
         t = make_thread(barriers=(0.7, 0.2))
         assert t.barrier_fractions == (0.2, 0.7)
         with pytest.raises(ValueError):
             make_thread(barriers=(1.5,))
-
-
-class TestMigration:
-    def test_migrate_updates_state(self):
-        t = make_thread()
-        t.vcore = 3
-        t.migrate_to(5, penalty_s=0.01, warmup_work=1e7)
-        assert t.vcore == 5
-        assert t.pending_migration_penalty == pytest.approx(0.01)
-        assert t.warmup_work_left == pytest.approx(1e7)
-        assert t.n_migrations == 1
-
-    def test_penalties_accumulate_warmup_maxes(self):
-        t = make_thread()
-        t.migrate_to(1, 0.01, 1e7)
-        t.migrate_to(2, 0.01, 5e6)
-        assert t.pending_migration_penalty == pytest.approx(0.02)
-        assert t.warmup_work_left == pytest.approx(1e7)
-
-    def test_consume_quantum_drains(self):
-        t = make_thread()
-        t.migrate_to(1, 0.01, 1e7)
-        t.consume_quantum(0.5, work=4e6)
-        assert t.pending_migration_penalty == 0.0
-        assert t.warmup_work_left == pytest.approx(6e6)
-
-    def test_invalid_vcore_rejected(self):
-        t = make_thread()
-        with pytest.raises(ValueError):
-            t.migrate_to(-1, 0.0, 0.0)

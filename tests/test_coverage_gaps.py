@@ -10,8 +10,6 @@ import pytest
 from repro.analysis.report import ShapeCheck, EvaluationReport
 from repro.experiments.fig6 import Fig6Row, Fig6Result
 from repro.experiments.fig8 import Fig8Series
-from repro.sim.phases import steady_trace, warmup_trace
-from repro.sim.thread import SimThread
 from repro.workloads.suite import workload
 
 
@@ -77,27 +75,6 @@ class TestEvaluationReportAllHold:
 
     def test_all_hold_false(self):
         assert not self._report(False).all_hold
-
-
-class TestPhaseAndThreadAccessors:
-    def test_segment_index_at(self):
-        trace = warmup_trace(1e9, 1.0, 0.05, 0.3, warmup_fraction=0.1)
-        assert trace.segment_index_at(0.0) == 0
-        assert trace.segment_index_at(5e8) == 1
-
-    def test_current_segment_tracks_progress(self):
-        trace = warmup_trace(1e9, 1.0, 0.05, 0.3, warmup_fraction=0.1)
-        t = SimThread(0, "b", 0, 0, trace)
-        first = t.current_segment()
-        t.advance(5e8, now=1.0)
-        second = t.current_segment()
-        assert first.miss_ratio > second.miss_ratio
-
-    def test_current_segment_at_completion_is_last(self):
-        trace = steady_trace(1e9, 1.0, 0.05, 0.3)
-        t = SimThread(0, "b", 0, 0, trace)
-        t.advance(2e9, now=1.0)
-        assert t.current_segment() is trace.segments[-1]
 
 
 class TestWorkloadSpecAccessors:

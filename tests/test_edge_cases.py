@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.policies import REGISTRY
 from repro.experiments.runner import run_workload
 from repro.metrics.fairness import fairness

@@ -71,7 +71,9 @@ class TestEndToEndInvariants:
         # work conservation
         for g in groups:
             for t in g.threads:
-                assert t.work_done == pytest.approx(t.trace.total_work, rel=1e-9)
+                assert engine.state.work_done[t.tid] == pytest.approx(
+                    t.trace.total_work, rel=1e-9
+                )
         # fairness metric bounded
         f = fairness(result)
         assert math.isnan(f) or f <= 1.0

@@ -53,6 +53,18 @@ class TestTraceFromSamples:
         with pytest.raises(ValueError, match="misses exceed"):
             trace_from_samples([(1e8, 1e6, 2e6)])
 
+    def test_non_finite_instructions_rejected(self):
+        with pytest.raises(ValueError, match="^work must be finite"):
+            trace_from_samples([(math.inf, 10.0, 1.0)] + SAMPLES)
+
+    def test_merged_segment_takes_the_last_windows_ratios(self):
+        near = (1e8, 6e6 * (1 + 1e-12), 3e6)
+        trace = trace_from_samples([SAMPLES[0], near])
+        assert trace.n_segments == 1
+        assert trace.seg_works.tolist() == [2e8]
+        assert trace.seg_apis.tolist() == [near[1] / near[0]]
+        assert trace.seg_miss_ratios.tolist() == [near[2] / near[1]]
+
 
 class TestBenchmarkFromSamples:
     def test_intensity_autoclassified(self):
@@ -97,6 +109,16 @@ class TestCsvImport:
         spec = benchmark_from_csv(csv_path)
         assert spec.name == "mytrace"
         assert spec.intensity == "M"
+
+    def test_non_finite_instructions_rejected(self, tmp_path):
+        csv_path = tmp_path / "inf.csv"
+        csv_path.write_text(
+            "instructions,llc_accesses,llc_misses\n"
+            "inf,6e6,3e6\n"
+            "2e8,2e6,1e5\n"
+        )
+        with pytest.raises(ValueError, match="^work must be finite"):
+            benchmark_from_csv(csv_path)
 
     def test_missing_columns_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
