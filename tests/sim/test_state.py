@@ -130,6 +130,30 @@ class TestBarriers:
         assert engine.state.release_ready_barriers() == 0
         assert engine.state.barriers_passed.tolist() == [0, 0]
 
+    def test_running_thread_is_not_released(self, small_topology):
+        # Group 0's only thread waits at its barrier; group 1's thread still
+        # runs toward its own.  The release opens group 0 and leaves the
+        # running thread as it was.
+        threads = [
+            SimThread(g, "bench", g, 0, steady_trace(WORK, 1.0, 0.05, 0.3), (0.5,))
+            for g in range(2)
+        ]
+        groups = [ProcessGroup(g, "bench", [threads[g]]) for g in range(2)]
+        engine = SimulationEngine(
+            small_topology, groups, StaticScheduler(), counter_noise=0.0
+        )
+        st = engine.state
+        for tid in range(2):
+            st.place(tid, tid)
+        step(engine, 10.0, tids=[0])
+        step(engine, 0.01, tids=[1])
+        assert st.waiting.tolist() == [True, False]
+        assert 0.0 < st.work_done[1] < 0.5 * WORK
+        assert st.release_ready_barriers() == 1
+        assert st.barriers_passed.tolist() == [1, 0]
+        assert not st.waiting.any()
+        assert st.next_barrier[1] == 0.5 * WORK
+
     def test_no_release_until_all_arrive(self, small_topology):
         engine = make_engine(small_topology, n=3, barriers=(0.5,))
         step(engine, 10.0, tids=[0, 1])
@@ -292,6 +316,16 @@ class TestRefreshSegments:
             st.work_done[0] = work
             st.refresh_segments(np.array([0]))
             assert st.seg_idx[0] == expected
+
+    def test_warmup_prologue_ends_at_its_fraction(self, small_topology):
+        trace = warmup_trace(WORK, 1.0, 0.05, 0.3, warmup_fraction=0.1)
+        st = make_engine(small_topology, traces=[trace]).state
+        assert st.seg_idx[0] == 0
+        assert st.seg_end[0] == pytest.approx(0.1 * WORK)
+        st.work_done[0] = 0.5 * WORK
+        st.refresh_segments(np.array([0]))
+        assert st.seg_idx[0] == 1
+        assert st.miss_ratio[0] == 0.3
 
     def test_thread_on_a_bound_is_in_the_next_segment(self, small_topology):
         st = make_engine(small_topology, traces=[two_segment_trace()]).state
