@@ -1373,21 +1373,11 @@ def _parse_param_grid(
 ) -> tuple[tuple[str, tuple], ...]:
     """``["swap_size=4,8"]`` -> ``(("swap_size", (4, 8)),)``.
 
-    Values parse as int, then float, then bool literals, else string —
-    the policy schema validates types downstream, with the parameter
-    name in the error message.
+    Values parse as ``name:key=value`` values do
+    (`repro.topologies.parse_param_value`) — the policy schema validates
+    types downstream, with the parameter name in the error message.
     """
-    def parse_value(text: str) -> object:
-        for cast in (int, float):
-            try:
-                return cast(text)
-            except ValueError:
-                pass
-        if text in ("true", "True"):
-            return True
-        if text in ("false", "False"):
-            return False
-        return text
+    from repro.topologies import parse_param_value
 
     grid = []
     for entry in entries or []:
@@ -1396,7 +1386,7 @@ def _parse_param_grid(
             raise ValueError(
                 f"bad --param {entry!r}; expected KEY=V1[,V2...]"
             )
-        grid.append((key, tuple(parse_value(v) for v in values.split(","))))
+        grid.append((key, tuple(parse_param_value(v) for v in values.split(","))))
     return tuple(grid)
 
 

@@ -23,7 +23,7 @@ import json
 import os
 from collections import deque
 from pathlib import Path
-from typing import IO, Any, Iterable
+from typing import IO, Any
 
 from repro.obs.events import (
     Event,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping
 
-from repro.policies.spec import ParamSpec, PolicyFactory, PolicySpec
+from repro.policies.spec import PolicyFactory, PolicySpec
 from repro.schedulers.base import Scheduler
 from repro.util.validation import require
 

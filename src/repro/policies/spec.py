@@ -15,7 +15,7 @@ through :meth:`PolicySpec.from_params` before they reach a worker process,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.schedulers.base import Scheduler

@@ -97,6 +97,33 @@ class MemoryModelConfig:
         )
 
 
+def _fill(demands: np.ndarray, capacity: float, total: float) -> np.ndarray:
+    """Max-min fair split of ``capacity`` among ``demands``, unchecked.
+
+    The one copy of the fill arithmetic, behind `waterfill` and the
+    solver.  ``demands`` is 1-D, non-negative float64 and ``total`` is
+    its pairwise ``sum()``, which exceeds ``capacity``.  Returns a fresh
+    array.
+    """
+    n = demands.size
+    # Sorting the values suffices: every capped demand gets one level, so
+    # nothing is scattered back through a sort order.
+    sorted_d = np.sort(demands, kind="stable")
+    # prefix[i] = sum of the i smallest demands, accumulated in order.
+    prefix = np.zeros(n)
+    sorted_d[:-1].cumsum(out=prefix[1:])
+    # If every demand from index i up were capped at level L, usage would
+    # be prefix[i] + (n - i) * L.  The first i where the level that
+    # exhausts capacity is below sorted_d[i] fixes the level.
+    levels = (capacity - prefix) / (n - np.arange(n))
+    capped = levels < sorted_d
+    i = capped.argmax()
+    if not capped[i]:
+        # Degenerate float case: capacity effectively covers everything.
+        return demands * (capacity / total)
+    return np.minimum(demands, max(levels[i], 0.0))
+
+
 def waterfill(demands: np.ndarray, capacity: float) -> np.ndarray:
     """Max-min fair allocation of ``capacity`` among ``demands``.
 
@@ -115,31 +142,12 @@ def waterfill(demands: np.ndarray, capacity: float) -> np.ndarray:
     capacity = float(capacity)
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
-    n = demands.size
-    if n == 0:
+    if demands.size == 0:
         return demands.copy()
     total = demands.sum()
     if total <= capacity:
         return demands.copy()
-    order = np.argsort(demands, kind="stable")
-    sorted_d = demands[order]
-    # prefix[i] = sum of the i smallest demands
-    prefix = np.concatenate(([0.0], np.cumsum(sorted_d)))
-    remaining = n - np.arange(n)
-    # If every demand above index i were capped at level L, usage would be
-    # prefix[i] + remaining[i] * L.  Find the first i where the level needed
-    # to exhaust capacity is below sorted_d[i] (those threads get capped).
-    levels = (capacity - prefix[:-1]) / remaining
-    capped = levels < sorted_d
-    if not capped.any():
-        # Degenerate float case: capacity effectively covers everything.
-        return demands * (capacity / total)
-    i = int(np.argmax(capped))
-    level = max(levels[i], 0.0)
-    alloc_sorted = np.minimum(sorted_d, level)
-    alloc = np.empty_like(demands)
-    alloc[order] = alloc_sorted
-    return alloc
+    return _fill(demands, capacity, total)
 
 
 def allocate_bandwidth(
@@ -175,18 +183,13 @@ def allocate_bandwidth(
         socket_of.min() < 0 or socket_of.max() >= socket_capacity.size
     ):
         raise ValueError("socket_of contains an unknown socket id")
-    # Fast path: when no socket link is oversubscribed, stage 1 is the
-    # identity (waterfill returns the demands unchanged under capacity),
-    # so skip the per-socket Python loop entirely — the common case for
-    # lightly loaded quanta and compute-heavy workloads.
+    # Stage 1 is the identity on every socket within its link capacity,
+    # so only the oversubscribed ones are filled.
     socket_demand = np.bincount(
         socket_of, weights=demands, minlength=socket_capacity.size
     )
-    congested = np.flatnonzero(socket_demand > socket_capacity)
-    if congested.size == 0:
-        return waterfill(demands, controller_capacity)
     capped = demands.copy()
-    for sid in congested:
+    for sid in np.flatnonzero(socket_demand > socket_capacity):
         mask = socket_of == sid
         capped[mask] = waterfill(demands[mask], float(socket_capacity[sid]))
     return waterfill(capped, controller_capacity)
@@ -208,6 +211,8 @@ class MemorySystem:
         config: MemoryModelConfig | None = None,
     ) -> None:
         self.socket_capacity = np.asarray(socket_capacity, dtype=np.float64)
+        if np.any(self.socket_capacity < 0):
+            raise ValueError("socket_capacity must be non-negative")
         self.controller_capacity = check_positive(
             controller_capacity, "controller_capacity"
         )
@@ -271,6 +276,15 @@ class MemorySystem:
         fallback), and exiting as soon as the utilisation residual drops
         below ``config.fixed_point_tolerance`` (the iteration budget is
         the backstop for cold starts and load shifts).
+
+        Each iteration is `allocate_bandwidth` per lane, computed the lean
+        way: the inputs are checked once per solve (lengths, socket ids,
+        no negative rate), one ``bincount`` flags the congested (lane,
+        socket) segments, whose member indices are built the first time
+        each is congested, and the unchecked fill kernel runs once per
+        segment whose own pairwise sum exceeds its link, then once per
+        live lane whose total exceeds the controller.  The rates are
+        bit-identical to calling the public allocators lane by lane.
         """
         cycle_rate = np.asarray(cycle_rate, dtype=np.float64)
         cpi = np.asarray(cpi, dtype=np.float64)
@@ -286,11 +300,17 @@ class MemorySystem:
         n_sockets = socket_capacity.size
         if socket_of.min() < 0 or socket_of.max() >= n_sockets:
             raise ValueError("socket_of contains an unknown socket id")
+        # Non-negative inputs give non-negative demands at every stall
+        # cost, so the fills below need no checks of their own.
+        if min(cycle_rate.min(), cpi.min(), mpi.min()) < 0.0:
+            raise ValueError("cycle_rate, cpi and mpi must be non-negative")
         if lanes is None:
             lanes, bounds = (self,), (0, n)
         config = self.config
+        budget = config.fixed_point_iterations
         tol = config.fixed_point_tolerance
         controller_capacity = self.controller_capacity
+        socket_caps = socket_capacity.tolist()
 
         # Per-lane scalars of the fixed point, one entry per non-empty
         # lane: the only values that change between iterations.
@@ -301,16 +321,22 @@ class MemorySystem:
         rho_prev = [0.0] * m
         h_prev = [0.0] * m
         new_rho = list(rho)
-        iterations = [config.fixed_point_iterations] * m
+        iterations = [budget] * m
         stall = [config.stall_cycles(u) for u in rho]
+        running = [True] * m
         # Each thread's entry in those lists, to gather stall costs and key
         # socket sums by (lane, socket).  One lane needs neither: its stall
         # cost is one scalar and its keys are the socket ids.
         lane_of = None
         key = socket_of
+        key_capacity = socket_capacity
         if m > 1:
             lane_of = np.repeat(np.arange(m), np.diff(bounds)[rows])
             key = socket_of + lane_of * n_sockets
+            key_capacity = np.tile(socket_capacity, m)
+        # Member indices of each (lane, socket) segment by key, built the
+        # first time the segment is congested.
+        members: dict[int, np.ndarray] = {}
         # Loop invariants, hoisted.
         mpi_pos = mpi > 0.0
         ips_mem = np.full(n, np.inf)
@@ -318,33 +344,37 @@ class MemorySystem:
         # while others go on are copied out here.
         kept = None
         todo = list(range(m))
-        for k in range(1, config.fixed_point_iterations + 1):
+        for k in range(1, budget + 1):
             live = todo
             stall_el = stall[0] if lane_of is None else np.array(stall)[lane_of]
             ips0 = cycle_rate / (cpi + mpi * stall_el)
-            # Demand, allocated in place: a lane within every capacity is
-            # served in full, otherwise it gets its two-stage max-min fair
-            # allocation (a single waterfill when no socket link is over).
+            # Demand, allocated in place.  Stage 1: every congested socket
+            # link of a live lane gets its max-min fair fill; a segment's
+            # own sum, not the bincount that flags it, decides whether it
+            # is over.
             access = ips0 * mpi
-            congested = (
-                np.bincount(key, weights=access, minlength=m * n_sockets)
-                .reshape(m, n_sockets)
-                > socket_capacity
-            ).any(axis=1)
+            over = np.bincount(key, weights=access, minlength=key_capacity.size)
+            for c in np.nonzero(over > key_capacity)[0].tolist():
+                i, s = divmod(c, n_sockets)
+                if not running[i]:
+                    continue
+                idx = members.get(c)
+                if idx is None:
+                    seg = segs[i]
+                    idx = np.flatnonzero(socket_of[seg] == s) + seg.start
+                    members[c] = idx
+                d = access[idx]
+                total = d.sum()
+                if total > socket_caps[s]:
+                    access[idx] = _fill(d, socket_caps[s], total)
+            # Stage 2: every live lane over the controller capacity.
             todo = []
             for i in live:
-                seg = segs[i]
-                d = access[seg]
-                if congested[i]:
-                    d[:] = allocate_bandwidth(
-                        d, socket_of[seg], socket_capacity, controller_capacity
-                    )
+                d = access[segs[i]]
+                total = d.sum()
+                if total > controller_capacity:
+                    d[:] = _fill(d, controller_capacity, total)
                     total = d.sum()
-                else:
-                    total = d.sum()
-                    if total > controller_capacity:
-                        d[:] = waterfill(d, controller_capacity)
-                        total = d.sum()
                 nr = new_rho[i] = float(total / controller_capacity)
                 # Residual of the un-damped update; at an exact fixed point
                 # (``nr == rho``) every further iteration would be
@@ -353,6 +383,7 @@ class MemorySystem:
                 h = nr - r0
                 if abs(h) <= tol * max(abs(nr), abs(r0)):
                     iterations[i] = k
+                    running[i] = False
                     continue
                 # Secant step on g(rho) = f(rho) - rho: with two evaluations
                 # in hand, jump to the root estimate instead of creeping
@@ -368,16 +399,17 @@ class MemorySystem:
                 rho_prev[i], h_prev[i], rho[i] = r0, h, candidate
                 stall[i] = config.stall_cycles(candidate)
                 todo.append(i)
+            if len(todo) == len(live) and k < budget:
+                continue  # no lane stops here, so no rates are final
             np.divide(access, mpi, out=ips_mem, where=mpi_pos)
             ips = np.minimum(ips0, ips_mem)
-            if not todo:
+            if not todo or k == budget:
                 break
-            if len(todo) < len(live):
-                if kept is None:
-                    kept = np.empty(n), np.empty(n)
-                for i in set(live) - set(todo):
-                    kept[0][segs[i]] = access[segs[i]]
-                    kept[1][segs[i]] = ips[segs[i]]
+            if kept is None:
+                kept = np.empty(n), np.empty(n)
+            for i in set(live) - set(todo):
+                kept[0][segs[i]] = access[segs[i]]
+                kept[1][segs[i]] = ips[segs[i]]
         if kept is not None:  # the lanes of the last iteration join them
             for i in live:
                 kept[0][segs[i]] = access[segs[i]]

@@ -80,18 +80,24 @@ class SimState:
             dtype=np.float64,
         )
 
+        # Every segment as a (tid, end) pair in one complex number, which
+        # NumPy orders by real part, then imaginary part: sorted, since
+        # tids ascend and each trace's bounds ascend.  A segment's end is
+        # its bound, +inf for a thread's last segment, which extends
+        # forever.
+        self._seg_key = np.empty(self.seg_bounds.size, dtype=np.complex128)
+        self._seg_key.real = np.repeat(np.arange(n), self.seg_count)
+        self._seg_key.imag = self.seg_bounds
+        self._seg_key.imag[self.seg_offset + self.seg_count - 1] = np.inf
+
         # --- cached current-segment parameters -------------------------
         self.seg_idx = np.zeros(n, dtype=np.int64)
         self.cpi = self.seg_cpi[self.seg_offset].copy()
         self.api = self.seg_api[self.seg_offset].copy()
         self.miss_ratio = self.seg_miss[self.seg_offset].copy()
         #: work position at which the cached segment stops being current
-        #: (+inf for the last segment, which extends forever)
-        self.seg_end = np.where(
-            self.seg_count > 1,
-            self.seg_bounds[self.seg_offset],
-            np.inf,
-        )
+        #: (+inf for the last segment)
+        self.seg_end = self._seg_key.imag[self.seg_offset]
 
         # --- mutable state ---------------------------------------------
         self.vcore = np.full(n, -1, dtype=np.int64)
@@ -280,23 +286,23 @@ class SimState:
         """Re-resolve the cached phase segment of threads ``tids``, which
         crossed their segment boundary.
 
-        A thread exactly on a segment's end is in the next segment; one
-        at or past its total work stays in the last segment, which has no
-        end (``seg_end`` is +inf).
+        A thread's segment is the count of its bounds at or below its
+        work (clamped just below its total work), capped at its last
+        segment: a thread exactly on a segment's end is in the next
+        segment, and one at or past its total work stays in the last
+        segment, which has no end (``seg_end`` is +inf).  One
+        ``searchsorted`` over the ``(tid, end)`` pairs resolves every tid
+        at once: the pairs at or below ``(tid, work)`` are the thread's
+        segment offset plus its segment index, and the last segment's
+        +inf end is the cap.
         """
-        for tid in tids.tolist():
-            off = self.seg_offset[tid]
-            count = self.seg_count[tid]
-            bounds = self.seg_bounds[off : off + count]
-            w = min(self.work_done[tid], self.total_work[tid] - 1e-9)
-            j = min(
-                int(np.searchsorted(bounds, w, side="right")), int(count) - 1
-            )
-            self.seg_idx[tid] = j
-            self.cpi[tid] = self.seg_cpi[off + j]
-            self.api[tid] = self.seg_api[off + j]
-            self.miss_ratio[tid] = self.seg_miss[off + j]
-            self.seg_end[tid] = bounds[j] if j < count - 1 else np.inf
+        work = np.minimum(self.work_done[tids], self.total_work[tids] - 1e-9)
+        seg = np.searchsorted(self._seg_key, tids + 1j * work, side="right")
+        self.seg_idx[tids] = seg - self.seg_offset[tids]
+        self.cpi[tids] = self.seg_cpi[seg]
+        self.api[tids] = self.seg_api[seg]
+        self.miss_ratio[tids] = self.seg_miss[seg]
+        self.seg_end[tids] = self._seg_key.imag[seg]
 
     # ----------------------------------------------------------- barriers
 

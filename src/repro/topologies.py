@@ -36,6 +36,7 @@ __all__ = [
     "TopologyFactory",
     "UnknownTopologyError",
     "TOPOLOGY_REGISTRY",
+    "parse_param_value",
     "parse_topology_arg",
 ]
 
@@ -221,8 +222,14 @@ class TopologyRegistry:
 # CLI argument parsing
 
 
-def _parse_value(raw: str) -> Any:
-    """``"4"`` -> 4, ``"2.33"`` -> 2.33, ``"true"`` -> True, else str."""
+def parse_param_value(raw: str) -> Any:
+    """``"4"`` -> 4, ``"2.33"`` -> 2.33, ``"true"``/``"TRUE"`` -> True,
+    else the stripped string.
+
+    The one value parser of the CLI: ``name:key=value`` refs and
+    campaign ``--param`` cells both call it.
+    """
+    raw = raw.strip()
     try:
         return int(raw)
     except ValueError:
@@ -239,10 +246,11 @@ def _parse_value(raw: str) -> Any:
 def parse_topology_arg(arg: str) -> tuple[str, dict[str, Any]]:
     """Parse ``name[:param=value,...]`` into ``(name, params)``.
 
-    The grammar mirrors campaign ``--param`` cells: values are parsed
-    int -> float -> bool -> str.  Validation against the spec's schema is
-    the caller's job (via :meth:`TopologySpec.from_params`), so errors
-    carry the parameter's name and legal range.
+    Values are parsed by :func:`parse_param_value` (int -> float -> bool
+    -> str), as campaign ``--param`` cells are.  Validation against the
+    spec's schema is the caller's job (via
+    :meth:`TopologySpec.from_params`), so errors carry the parameter's
+    name and legal range.
     """
     name, sep, rest = arg.partition(":")
     name = name.strip()
@@ -257,7 +265,7 @@ def parse_topology_arg(arg: str) -> tuple[str, dict[str, Any]]:
                 f"malformed parameter {item!r} in {arg!r} "
                 "(expected key=value)",
             )
-            params[key] = _parse_value(raw.strip())
+            params[key] = parse_param_value(raw)
     return name, params
 
 

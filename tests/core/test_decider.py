@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import DikeConfig
 from repro.core.decider import Decider
 from repro.core.predictor import PairPrediction

@@ -8,9 +8,6 @@ from repro.core.config import DikeConfig
 from repro.core.predictor import PairPrediction, Predictor
 from repro.core.selector import ThreadPair
 
-from test_observer import make_counters  # reuse builder
-from repro.core.observer import Observer
-
 
 def report_for(rates, classes, core_bw, high, groups=None):
     from repro.core.observer import ObserverReport

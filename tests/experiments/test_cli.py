@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _parse_param_grid, build_parser, main
+from repro.topologies import parse_topology_arg
 
 
 class TestParser:
@@ -97,6 +98,30 @@ class TestCampaignCommand:
         ]
         assert main(argv) == 0
         assert not (tmp_path / ".campaign").exists()
+
+
+class TestParamValues:
+    """``--param`` cells and ``name:key=value`` refs parse values alike."""
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [("TRUE", True), ("False", False), ("4", 4), ("0.5", 0.5), ("fast", "fast")],
+    )
+    def test_param_cell_equals_ref_value(self, raw, value):
+        ((key, (cell,)),) = _parse_param_grid([f"knob={raw}"])
+        _, params = parse_topology_arg(f"dike:knob={raw}")
+        assert key == "knob"
+        assert cell == params["knob"] == value
+        assert type(cell) is type(params["knob"]) is type(value)
+
+    def test_upper_case_bool_passes_the_schema(self, capsys, tmp_path):
+        argv = [
+            "campaign", "--dry-run", "--workloads", "wl1", "--policies", "dike",
+            "--param", "rotation_fallback=TRUE,False",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == 0
+        assert "to run 2" in capsys.readouterr().out
 
 
 class TestSharedFlagSurface:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.metrics.prediction import error_series, error_summary, prediction_errors

@@ -13,7 +13,7 @@ from repro.core.dike import (
     PersistencePredictorStage,
 )
 from repro.policies import REGISTRY
-from repro.schedulers.pipeline import Stage, StagePipeline, StageState
+from repro.schedulers.pipeline import Stage, StageState
 
 from conftest import quick_run
 

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.schedulers.base import (
-    Move,
     SchedulingContext,
     Swap,
     ThreadInfo,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.schedulers.base import Move, Scheduler, Swap
+from repro.schedulers.base import Move, Swap
 from repro.schedulers.static import StaticScheduler
 from repro.schedulers.random_policy import RandomSwapScheduler
 from repro.sim.engine import SimulationEngine

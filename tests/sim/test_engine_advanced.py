@@ -38,7 +38,6 @@ class TestKmeansBarriers:
         # rebuild kmeans without barriers via a custom spec
         from repro.workloads.benchmark import BenchmarkSpec, instantiate
         from repro.workloads.rodinia import kmeans as kmeans_factory
-        from repro.sim.process import ProcessGroup
 
         km = kmeans_factory()
         free = BenchmarkSpec(

@@ -434,3 +434,272 @@ class TestSegmentedSolve:
         )
         assert busy.last_iterations >= 1
         assert (idle.last_utilization, idle.last_iterations) == (0.7, 3)
+
+
+# --------------------------------------------------------------------------
+# The bit-for-bit reference of `MemorySystem.solve`: the two allocators
+# written with a stable argsort and a scatter back (input checks left
+# out), and the fixed point run one lane at a time over them, each
+# iteration calling the two-stage allocator.  Lanes solved together equal
+# lanes solved alone (`TestSegmentedSolve`).
+
+
+def reference_waterfill(demands: np.ndarray, capacity: float) -> np.ndarray:
+    demands = np.asarray(demands, dtype=np.float64)
+    capacity = float(capacity)
+    n = demands.size
+    if n == 0:
+        return demands.copy()
+    total = demands.sum()
+    if total <= capacity:
+        return demands.copy()
+    order = np.argsort(demands, kind="stable")
+    sorted_d = demands[order]
+    prefix = np.concatenate(([0.0], np.cumsum(sorted_d)))
+    remaining = n - np.arange(n)
+    levels = (capacity - prefix[:-1]) / remaining
+    capped = levels < sorted_d
+    if not capped.any():
+        return demands * (capacity / total)
+    i = int(np.argmax(capped))
+    level = max(levels[i], 0.0)
+    alloc = np.empty_like(demands)
+    alloc[order] = np.minimum(sorted_d, level)
+    return alloc
+
+
+def reference_allocate(demands, socket_of, socket_capacity, controller_capacity):
+    socket_demand = np.bincount(
+        socket_of, weights=demands, minlength=socket_capacity.size
+    )
+    congested = np.flatnonzero(socket_demand > socket_capacity)
+    if congested.size == 0:
+        return reference_waterfill(demands, controller_capacity)
+    capped = demands.copy()
+    for sid in congested:
+        mask = socket_of == sid
+        capped[mask] = reference_waterfill(
+            demands[mask], float(socket_capacity[sid])
+        )
+    return reference_waterfill(capped, controller_capacity)
+
+
+def reference_lane(system, cycle_rate, cpi, mpi, socket_of):
+    """One lane's fixed point; updates ``system`` as `solve` does."""
+    config = system.config
+    caps, controller = system.socket_capacity, system.controller_capacity
+    tol = config.fixed_point_tolerance
+    rho = system.last_utilization
+    rho_prev = h_prev = 0.0
+    iterations = config.fixed_point_iterations
+    stall = config.stall_cycles(rho)
+    ips_mem = np.full(cycle_rate.size, np.inf)
+    for k in range(1, config.fixed_point_iterations + 1):
+        ips0 = cycle_rate / (cpi + mpi * stall)
+        demand = ips0 * mpi
+        socket_demand = np.bincount(socket_of, weights=demand, minlength=caps.size)
+        if (socket_demand > caps).any():
+            access = reference_allocate(demand, socket_of, caps, controller)
+        elif demand.sum() > controller:
+            access = reference_waterfill(demand, controller)
+        else:
+            access = demand
+        new_rho = float(access.sum() / controller)
+        np.divide(access, mpi, out=ips_mem, where=mpi > 0.0)
+        ips = np.minimum(ips0, ips_mem)
+        h = new_rho - rho
+        if abs(h) <= tol * max(abs(new_rho), abs(rho)):
+            iterations = k
+            break
+        if k > 1 and h != h_prev:
+            candidate = rho - h * (rho - rho_prev) / (h - h_prev)
+        else:
+            candidate = 0.5 * rho + 0.5 * new_rho
+        if not 0.0 <= candidate <= 2.0:
+            candidate = 0.5 * rho + 0.5 * new_rho
+        rho_prev, h_prev, rho = rho, h, candidate
+        stall = config.stall_cycles(candidate)
+    system.last_utilization = new_rho
+    system.last_iterations = iterations
+    return access, ips
+
+
+#: rates drawn from a few fixed values (ties) or anywhere in range
+RATES = st.sampled_from([0.0, 1e9, 2e9]) | st.floats(1e8, 3e9)
+CPIS = st.sampled_from([1.0]) | st.floats(0.3, 3.0)
+MPIS = st.sampled_from([0.0, 0.02]) | st.floats(0.0, 0.05)
+CAPS = st.sampled_from([0.0, 3e7]) | st.floats(1e7, 3e8)
+
+
+@st.composite
+def fixed_point_cases(draw):
+    """A machine, a solver config and 1–6 lanes of ragged length (empty
+    lanes included).  A socket link or the controller may be sized to
+    one lane's first-iteration demand: its pairwise sum or the
+    thread-order running sum a ``bincount`` gives, or one step below
+    either (a fill that barely binds, or a segment the ``bincount``
+    flags whose own sum fits)."""
+    n_sockets = draw(st.integers(1, 3))
+    config = MemoryModelConfig(
+        fixed_point_tolerance=draw(st.sampled_from([0.0, 1e-4, 1e-2])),
+        fixed_point_iterations=draw(st.integers(1, 10)),
+    )
+    lanes = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(0, 16))
+        lanes.append((
+            draw(hnp.arrays(np.float64, k, elements=RATES)),
+            draw(hnp.arrays(np.float64, k, elements=CPIS)),
+            draw(hnp.arrays(np.float64, k, elements=MPIS)),
+            draw(hnp.arrays(np.int64, k, elements=st.integers(0, n_sockets - 1))),
+            draw(st.floats(0.0, 1.5)),
+        ))
+    sockets = draw(hnp.arrays(np.float64, n_sockets, elements=CAPS))
+    controller = draw(st.floats(5e7, 4e8))
+    busy = [lane for lane in lanes if lane[0].size]
+    pin = draw(st.sampled_from([None, "socket", "controller"]))
+    if busy and pin:
+        cycle, cpi, mpi, socket_of, warm = busy[0]
+        demand = cycle / (cpi + mpi * config.stall_cycles(warm)) * mpi
+        if pin == "socket":
+            demand = demand[socket_of == socket_of[0]]
+        total = draw(st.sampled_from([demand.sum(), np.add.accumulate(demand)[-1]]))
+        if draw(st.booleans()):
+            total = np.nextafter(total, 0.0)
+        if pin == "socket":
+            sockets[socket_of[0]] = max(total, 0.0)
+        elif total > 0.0:
+            controller = float(total)
+    return config, sockets, controller, lanes
+
+
+class TestSolveEqualsReference:
+    """The solver's lean fixed point (checks once, one unchecked fill per
+    congested segment) equals the reference loop over lone allocator
+    calls, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fixed_point_cases())
+    def test_every_output_bit_identical(self, case):
+        config, sockets, controller, lanes = case
+        reference = [MemorySystem(sockets, controller, config) for _ in lanes]
+        systems = [MemorySystem(sockets, controller, config) for _ in lanes]
+        for ref, system, lane in zip(reference, systems, lanes):
+            ref.last_utilization = system.last_utilization = lane[4]
+        ref_access, ref_ips = [], []
+        for ref, (cycle, cpi, mpi, socket_of, _) in zip(reference, lanes):
+            if cycle.size:
+                a, i = reference_lane(ref, cycle, cpi, mpi, socket_of)
+                ref_access.append(a)
+                ref_ips.append(i)
+
+        bounds = np.zeros(len(lanes) + 1, dtype=np.int64)
+        np.cumsum([lane[0].size for lane in lanes], out=bounds[1:])
+        stacked = [np.concatenate(cols) for cols in list(zip(*lanes))[:4]]
+        access, ips = systems[0].solve(*stacked, bounds=bounds, lanes=systems)
+
+        expected = np.concatenate([np.zeros(0)] + ref_access)
+        assert access.tobytes() == expected.tobytes()
+        assert ips.tobytes() == np.concatenate([np.zeros(0)] + ref_ips).tobytes()
+        for ref, system in zip(reference, systems):
+            assert system.last_utilization == ref.last_utilization
+            assert system.last_iterations == ref.last_iterations
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        demand_arrays | hnp.arrays(np.float64, st.integers(0, 12),
+                                   elements=st.sampled_from([0.0, 1.0, 2.5])),
+        st.sampled_from(["free", "at", "below"]),
+        st.floats(0.0, 1e10),
+    )
+    def test_public_allocators_equal_reference(self, demands, where, capacity):
+        # Just below the total, float rounding can leave no demand capped:
+        # the proportional fallback.
+        total = demands.sum()
+        if where == "at":
+            capacity = float(total)
+        elif where == "below":
+            capacity = float(np.nextafter(total, 0.0))
+        alloc = waterfill(demands, capacity)
+        assert alloc.tobytes() == reference_waterfill(demands, capacity).tobytes()
+        assert alloc is not demands
+        socket_of = np.arange(demands.size) % 2
+        sockets = np.array([capacity / 3, capacity / 2])
+        assert (
+            allocate_bandwidth(demands, socket_of, sockets, capacity).tobytes()
+            == reference_allocate(demands, socket_of, sockets, capacity).tobytes()
+        )
+
+    @pytest.mark.parametrize(
+        "capacity_at", ["below_pairwise", "below_running", "at_pairwise"]
+    )
+    def test_segment_total_is_its_pairwise_sum(self, capacity_at):
+        """One lane on one socket, one iteration (its fill is the result),
+        demands whose pairwise sum is below their thread-order running sum
+        (the ``bincount`` that flags the segment):
+
+        * a link one step below the pairwise sum: the fill falls back to
+          scaling by capacity / total, with the pairwise total;
+        * a link one step below the running sum: flagged, but it fits;
+        * link and controller exactly at the pairwise sum: no fill, where
+          a fill would lower the largest demand.
+        """
+        config = MemoryModelConfig(fixed_point_iterations=1)
+        rng = np.random.default_rng(7)
+        for _ in range(10_000):
+            cycle = rng.uniform(1e8, 3e9, 16)
+            cpi, mpi = np.ones(16), np.full(16, 0.02)
+            demand = cycle / (cpi + mpi * config.stall_cycles(0.0)) * mpi
+            total, running = demand.sum(), np.add.accumulate(demand)[-1]
+            controller = 10 * total
+            if capacity_at == "below_pairwise":
+                capacity = np.nextafter(total, 0.0)
+                fallback = demand * (capacity / total)
+                filled = reference_waterfill(demand, capacity)
+                found = filled.tobytes() == fallback.tobytes()
+            elif capacity_at == "below_running":
+                capacity = np.nextafter(running, 0.0)
+                found = total < capacity
+            else:
+                capacity = controller = total
+                found = np.add.accumulate(np.sort(demand))[-1] > total
+            if running > total and found:
+                break
+        else:
+            pytest.fail("no demand vector with the wanted sums")
+        reference = MemorySystem(np.array([capacity]), controller, config)
+        system = MemorySystem(np.array([capacity]), controller, config)
+        socket_of = np.zeros(16, dtype=np.int64)
+        access, ips = reference_lane(reference, cycle, cpi, mpi, socket_of)
+        got_access, got_ips = system.solve(cycle, cpi, mpi, socket_of)
+        assert got_access.tobytes() == access.tobytes()
+        assert got_ips.tobytes() == ips.tobytes()
+        assert system.last_utilization == reference.last_utilization
+
+    def test_solver_calls_no_public_allocator(self, monkeypatch):
+        import repro.sim.memory as memory
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver called a public allocator")
+
+        monkeypatch.setattr(memory, "waterfill", refuse)
+        monkeypatch.setattr(memory, "allocate_bandwidth", refuse)
+        system = MemorySystem(np.array([1e7, 1e7]), 1.5e7)
+        n = 8
+        access, _ = system.solve(
+            np.full(n, 2e9), np.ones(n), np.full(n, 0.02),
+            np.arange(n) % 2,
+        )
+        assert access.sum() <= 1.5e7 * (1 + 1e-9)
+
+    def test_negative_inputs_rejected_once(self):
+        system = MemorySystem(np.array([1e8]), 1e8)
+        with pytest.raises(ValueError, match="non-negative"):
+            system.solve(
+                np.array([1e9]), np.array([1.0]), np.array([-0.01]),
+                np.array([0]),
+            )
+
+    def test_negative_socket_capacity_rejected(self):
+        with pytest.raises(ValueError, match="socket_capacity"):
+            MemorySystem(np.array([1e8, -1.0]), 1e8)

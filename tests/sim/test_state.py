@@ -13,13 +13,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.schedulers.dio import DIOScheduler
 from repro.schedulers.static import StaticScheduler
 from repro.sim.engine import SimulationEngine, step_quantum
 from repro.sim.phases import PhaseTrace, steady_trace, warmup_trace
 from repro.sim.process import ProcessGroup
+from repro.sim.state import SimState
 from repro.sim.thread import SimThread
+from repro.sim.topology import homogeneous
 
 WORK = 1e9
 
@@ -371,3 +375,80 @@ class TestRefreshSegments:
         assert st.finished[0]
         assert st.seg_idx[0] == 1
         assert math.isinf(st.seg_end[0])
+
+
+def reference_refresh(st, tids) -> None:
+    """The per-tid lookup `SimState.refresh_segments` replaced: one
+    ``searchsorted`` over each thread's own bounds."""
+    for tid in tids.tolist():
+        off = st.seg_offset[tid]
+        count = st.seg_count[tid]
+        bounds = st.seg_bounds[off : off + count]
+        w = min(st.work_done[tid], st.total_work[tid] - 1e-9)
+        j = min(int(np.searchsorted(bounds, w, side="right")), int(count) - 1)
+        st.seg_idx[tid] = j
+        st.cpi[tid] = st.seg_cpi[off + j]
+        st.api[tid] = st.seg_api[off + j]
+        st.miss_ratio[tid] = st.seg_miss[off + j]
+        st.seg_end[tid] = bounds[j] if j < count - 1 else np.inf
+
+
+MACHINE = homogeneous()
+#: segment spans: a few exact values (bounds land on round numbers), one
+#: shorter than the 1e-9 clamp below total work, or any
+SPANS = hst.sampled_from([1.0, 2.0, 0.5, 1e-10]) | hst.floats(1e-3, 1e3)
+
+
+@hst.composite
+def refresh_cases(draw):
+    """Ragged traces of 1–6 segments, each thread's progress at zero, on
+    one of its bounds, between bounds, at its total work or past it, and
+    an ascending set of tids (up to every thread) to refresh."""
+    n = draw(hst.integers(1, 40))
+    traces, progress = [], []
+    for tid in range(n):
+        work = draw(hst.lists(SPANS, min_size=1, max_size=6))
+        k = len(work)
+        trace = PhaseTrace.from_columns(
+            work,
+            1.0 + np.arange(k) + 0.001 * tid,
+            0.01 * (1 + np.arange(k)),
+            (1 + np.arange(k)) / (k + 1),
+        )
+        bounds = trace.bounds
+        where = draw(hst.sampled_from(["zero", "bound", "between", "total", "past"]))
+        if where == "zero":
+            done = 0.0
+        elif where == "bound":
+            done = float(bounds[draw(hst.integers(0, k - 1))])
+        elif where == "between":
+            done = draw(hst.floats(0.0, trace.total_work))
+        elif where == "total":
+            done = trace.total_work
+        else:
+            done = trace.total_work * draw(hst.floats(1.0, 3.0))
+        traces.append(trace)
+        progress.append(done)
+    tids = sorted(draw(hst.sets(hst.integers(0, n - 1), min_size=1)))
+    return traces, np.array(progress), np.array(tids, dtype=np.int64)
+
+
+class TestColumnarRefresh:
+    """`refresh_segments` resolves every tid in one pass, exactly as a
+    per-tid ``searchsorted`` does, and touches no other thread."""
+
+    COLUMNS = ("seg_idx", "cpi", "api", "miss_ratio", "seg_end")
+
+    @settings(max_examples=150, deadline=None)
+    @given(refresh_cases())
+    def test_equals_per_tid_searchsorted(self, case):
+        traces, progress, tids = case
+        threads = [SimThread(i, "bench", 0, i, t) for i, t in enumerate(traces)]
+        expected, actual = SimState(threads, MACHINE), SimState(threads, MACHINE)
+        for st in (expected, actual):
+            st.work_done[:] = progress
+        reference_refresh(expected, tids)
+        actual.refresh_segments(tids)
+        for column in self.COLUMNS:
+            got, want = getattr(actual, column), getattr(expected, column)
+            assert got.tobytes() == want.tobytes(), column

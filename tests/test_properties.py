@@ -22,7 +22,6 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.memory import MemorySystem, waterfill
 from repro.sim.topology import SocketSpec, Topology
 from repro.schedulers.dio import DIOScheduler
-from repro.schedulers.static import StaticScheduler
 from repro.workloads.generator import workload_with_mix
 
 SLOW_SETTINGS = settings(

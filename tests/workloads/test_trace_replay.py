@@ -9,7 +9,6 @@ import pytest
 from repro.core.dike import DikeScheduler
 from repro.experiments.runner import run_workload
 from repro.schedulers.static import StaticScheduler
-from repro.sim.phases import PhaseTrace
 from repro.workloads.suite import WorkloadSpec
 from repro.workloads.trace_replay import (
     benchmark_from_csv,
