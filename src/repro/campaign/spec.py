@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from repro.policies import REGISTRY
 from repro.sim.migration import MigrationModel
 from repro.sim.results import RunResult
-from repro.topologies import TOPOLOGY_REGISTRY
 from repro.util.validation import is_finite_number, require
 from repro.workloads.rodinia import APP_REGISTRY
 from repro.workloads.suite import WorkloadSpec
@@ -210,20 +209,24 @@ class SimParams:
 
 def task_engine(spec: ExperimentSpec, bus=None):
     """The engine that runs ``spec``: the one builder for scalar tasks and
-    batch lanes alike, so both get every part of the spec's machine."""
+    batch lanes alike, so both get every part of the spec's machine.
+
+    The machine comes from `repro.experiments.runner.machine` and the
+    threads from `build_engine`'s memo, both keyed by value, so a process
+    builds each workload, seed and scale, and each topology, once however
+    many policies, lanes or repeats run them.
+    """
     # Imported here rather than at module top: experiments.runner is also
     # imported *by* the experiment modules that import this package, and a
     # late import keeps the package import-order agnostic.
-    from repro.experiments.runner import build_engine
+    from repro.experiments.runner import build_engine, machine
 
     return build_engine(
         spec.workload.to_spec(),
         REGISTRY.build(spec.policy.name, dict(spec.policy.params)),
         seed=spec.seed,
         work_scale=spec.work_scale,
-        topology=TOPOLOGY_REGISTRY.build(
-            spec.topology.name, dict(spec.topology.params)
-        ),
+        topology=machine(spec.topology),
         migration=MigrationModel(*spec.migration) if spec.migration else None,
         record_timeseries=spec.record_timeseries,
         counter_noise=spec.counter_noise,

@@ -26,7 +26,7 @@ from repro.util.validation import require
 __all__ = ["ProcessGroup"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessGroup:
     """All threads of one running benchmark instance.
 
@@ -34,14 +34,21 @@ class ProcessGroup:
     not exist (consume no resources, receive no placement) before that
     simulation time — modelling applications entering a running system,
     the scenario the paper uses to motivate runtime adaptation.
+
+    A group never changes once built (``threads`` is a tuple of frozen
+    records), so one build can serve many engines:
+    `repro.experiments.runner.build_engine` hands the same groups to every
+    run of an equal workload, seed and scale in a process.  Derive a
+    variant with ``dataclasses.replace``.
     """
 
     group_id: int
     benchmark: str
-    threads: list[SimThread]
+    threads: tuple[SimThread, ...]
     arrival_s: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "threads", tuple(self.threads))
         require(len(self.threads) >= 1, "a process group needs >= 1 thread")
         require(self.arrival_s >= 0.0, "arrival_s must be >= 0")
         for t in self.threads:

@@ -48,6 +48,8 @@ class TrafficWorkload:
     jobs: tuple[Job, ...]
 
     def __post_init__(self) -> None:
+        # A tuple whatever the caller passed, so equal workloads hash alike.
+        object.__setattr__(self, "jobs", tuple(self.jobs))
         require(len(self.jobs) >= 1, "a traffic workload needs >= 1 job")
 
     @property
@@ -75,9 +77,16 @@ class TrafficWorkload:
             spec = app(job.app)
             if spec.n_threads != job.n_threads:
                 spec = replace(spec, n_threads=job.n_threads)
-            group = instantiate(spec, gid, tid, seed, work_scale * job.size)
-            group.arrival_s = job.arrival_s * work_scale
-            groups.append(group)
+            groups.append(
+                instantiate(
+                    spec,
+                    gid,
+                    tid,
+                    seed,
+                    work_scale * job.size,
+                    arrival_s=job.arrival_s * work_scale,
+                )
+            )
             tid += spec.n_threads
         return groups
 

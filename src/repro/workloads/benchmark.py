@@ -84,8 +84,10 @@ def instantiate(
     tid_start: int,
     seed: int,
     work_scale: float = 1.0,
+    arrival_s: float = 0.0,
 ) -> ProcessGroup:
-    """Build a live process group for ``spec``.
+    """Build a live process group for ``spec`` that arrives at
+    ``arrival_s``.
 
     Thread ids are assigned densely from ``tid_start``; the caller is
     responsible for global tid density across groups.
@@ -114,4 +116,9 @@ def instantiate(
                 barrier_fractions=spec.barrier_fractions,
             )
         )
-    return ProcessGroup(group_id=group_id, benchmark=spec.name, threads=threads)
+    return ProcessGroup(
+        group_id=group_id,
+        benchmark=spec.name,
+        threads=threads,
+        arrival_s=arrival_s,
+    )

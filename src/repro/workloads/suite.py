@@ -48,6 +48,8 @@ class WorkloadSpec:
     threads_per_app: int = 8
 
     def __post_init__(self) -> None:
+        # A tuple whatever the caller passed, so equal workloads hash alike.
+        object.__setattr__(self, "apps", tuple(self.apps))
         require(len(self.apps) >= 1, "a workload needs at least one app")
         for a in self.apps:
             require(a in APP_REGISTRY, f"unknown application {a!r}")

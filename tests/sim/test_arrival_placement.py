@@ -16,6 +16,7 @@ optimization changed nothing observable:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,8 +152,7 @@ def run_with_arrivals(arrival_times):
             tid=gid, benchmark="jacobi", group=gid, member=0, trace=trace
         )
         group = ProcessGroup(group_id=gid, benchmark="jacobi", threads=[thread])
-        group.arrival_s = arrival
-        groups.append(group)
+        groups.append(replace(group, arrival_s=arrival))
     tap = LifecycleTap()
     bus = EventBus()
     bus.attach(tap)

@@ -6,6 +6,8 @@ tested in ``test_state.py``.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.sim.phases import steady_trace
@@ -47,3 +49,11 @@ class TestConstruction:
 
     def test_n_threads(self):
         assert ProcessGroup(0, "bench", make_threads(3)).n_threads == 3
+
+    def test_frozen_with_a_tuple_of_threads(self):
+        group = ProcessGroup(0, "bench", make_threads(2))
+        assert isinstance(group.threads, tuple)
+        with pytest.raises(FrozenInstanceError):
+            group.arrival_s = 1.0  # type: ignore[misc]
+        later = replace(group, arrival_s=1.0)
+        assert later.arrival_s == 1.0 and later.threads is group.threads

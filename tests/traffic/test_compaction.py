@@ -16,6 +16,7 @@ criterion was verified with (~25 s).
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,8 +43,7 @@ def poisson_jobs(n: int, mean_gap_s: float, seed: int = 0) -> list[ProcessGroup]
             tid=gid, benchmark="jacobi", group=gid, member=0, trace=trace
         )
         group = ProcessGroup(group_id=gid, benchmark="jacobi", threads=[thread])
-        group.arrival_s = t
-        groups.append(group)
+        groups.append(replace(group, arrival_s=t))
         t += float(rng.exponential(mean_gap_s))
     return groups
 
