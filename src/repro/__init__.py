@@ -44,10 +44,15 @@ from repro.experiments.runner import (
     run_standalone,
     run_workload,
 )
-from repro.policies import REGISTRY, ParamSpec, PolicyRegistry, PolicySpec
+from repro.policies import (
+    REGISTRY,
+    ComponentRegistry,
+    ParamSpec,
+    PolicyRegistry,
+    PolicySpec,
+)
 from repro.topologies import (
     TOPOLOGY_REGISTRY,
-    TopologyRegistry,
     TopologySpec,
     UnknownTopologyError,
     parse_topology_arg,
@@ -118,11 +123,11 @@ __all__ = [
     "DikeConfig",
     "DikeScheduler",
     "REGISTRY",
+    "ComponentRegistry",
     "PolicyRegistry",
     "PolicySpec",
     "ParamSpec",
     "TOPOLOGY_REGISTRY",
-    "TopologyRegistry",
     "TopologySpec",
     "UnknownTopologyError",
     "parse_topology_arg",

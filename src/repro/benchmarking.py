@@ -227,28 +227,23 @@ def run_suite(
 
 
 def _batch_lanes(case: BatchBenchCase) -> list:
-    from repro.sim.engine import SimulationEngine
-    from repro.topologies import TOPOLOGY_REGISTRY
+    from repro.experiments.runner import build_engine, machine
+    from repro.spec import TopologyRef
     from repro.workloads.suite import workload
 
     factory = case.scheduler_factory()
-    lanes = []
-    for seed in range(case.n_runs):
-        if case.workload in OPEN_LOOP_WORKLOADS:
-            spec = OPEN_LOOP_WORKLOADS[case.workload]()
-        else:
-            spec = workload(case.workload)
-        lanes.append(
-            SimulationEngine(
-                topology=TOPOLOGY_REGISTRY.build("heterogeneous"),
-                groups=spec.build(seed=seed, work_scale=case.work_scale),
-                scheduler=factory(),
-                seed=seed,
-                record_timeseries=False,
-                workload_name=spec.name,
-            )
+    if case.workload in OPEN_LOOP_WORKLOADS:
+        spec = OPEN_LOOP_WORKLOADS[case.workload]()
+    else:
+        spec = workload(case.workload)
+    topology = machine(TopologyRef())
+    return [
+        build_engine(
+            spec, factory(), seed=seed, work_scale=case.work_scale,
+            topology=topology, record_timeseries=False,
         )
-    return lanes
+        for seed in range(case.n_runs)
+    ]
 
 
 def run_batch_case(case: BatchBenchCase, repeats: int = 3) -> dict:
@@ -402,26 +397,23 @@ SCALING_SUITE: tuple[ScalingBenchCase, ...] = tuple(
 
 def run_scaling_case(case: ScalingBenchCase, repeats: int = 3) -> dict:
     """Measure one scaling point; returns scheduler µs/quantum and context."""
+    from repro.experiments.runner import build_engine, machine
     from repro.policies import REGISTRY
-    from repro.sim.engine import SimulationEngine
-    from repro.topologies import TOPOLOGY_REGISTRY
+    from repro.spec import TopologyRef
 
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     spec = _scaling_workload(case.n_threads)
     factory = REGISTRY.factory(case.policy)
+    topology = machine(TopologyRef(case.topology))
 
     def once() -> tuple[float, int, float]:
         scheduler = _DecideTimer(factory())
-        max_time_s = float(scheduler.quantum_length_s()) * case.max_quanta
-        engine = SimulationEngine(
-            topology=TOPOLOGY_REGISTRY.build(case.topology),
-            groups=spec.build(seed=case.seed, work_scale=case.work_scale),
-            scheduler=scheduler,
-            seed=case.seed,
-            max_time_s=max_time_s,
+        engine = build_engine(
+            spec, scheduler, seed=case.seed, work_scale=case.work_scale,
+            topology=topology,
+            max_time_s=float(scheduler.quantum_length_s()) * case.max_quanta,
             record_timeseries=False,
-            workload_name=spec.name,
         )
         t0 = time.perf_counter()
         engine.run()

@@ -66,7 +66,9 @@ class CampaignSpec:
     #: registry schema covers *all* grid keys with the full cartesian
     #: product (each point validated via ``PolicySpec.from_params`` at
     #: planning time and folded into the cache key); policies whose
-    #: schema misses a key get one unparameterised task instead.
+    #: schema misses a key get one unparameterised task instead.  A key
+    #: given twice, a key no policy has, or a grid no policy covers
+    #: whole raises ``ValueError`` naming the key(s).
     param_grid: tuple[tuple[str, tuple], ...] = ()
     #: check every run against its policy's invariant contract (the
     #: registry spec's ``invariants`` tuple); violation counts surface in
@@ -84,13 +86,27 @@ class CampaignSpec:
         require(len(self.seeds) >= 1, "a campaign needs >= 1 seed")
         for w in self.workloads:
             require(w in WORKLOAD_TABLE, f"unknown workload {w!r}")
-        for p in self.policies:
-            REGISTRY.get(p)  # raises UnknownPolicyError on a bad name
+        schemas = [
+            set(REGISTRY.get(p).param_names())  # UnknownPolicyError on a bad name
+            for p in self.policies
+        ]
+        keys = [key for key, _ in self.param_grid]
         for key, values in self.param_grid:
+            require(keys.count(key) == 1, f"param_grid key {key!r} given twice")
             require(
                 len(tuple(values)) >= 1,
                 f"param_grid entry {key!r} needs >= 1 value",
             )
+            require(
+                any(key in schema for schema in schemas),
+                f"param_grid key {key!r} is a parameter of none of the "
+                f"policies {list(self.policies)}",
+            )
+        require(
+            not keys or any(schema.issuperset(keys) for schema in schemas),
+            f"no policy in {list(self.policies)} has every param_grid key "
+            f"{keys}",
+        )
         # Raises UnknownTopologyError / ValueError on a bad name or params.
         TOPOLOGY_REGISTRY.get(self.topology).validate_params(
             dict(self.topology_params)

@@ -4,16 +4,16 @@ Subcommands
 -----------
 ``list``
     Show all regenerable experiments.
-``policies [--json|--names|--check]``
-    Show every registered policy with its parameter schema, defaults and
-    invariant contract (the `repro.policies` registry); ``--check``
-    validates the registry itself (factories build, contracts resolve)
-    and exits 1 on drift — the CI policy-matrix gate.
-``topologies [--json|--names|--check]``
-    Show every registered machine preset with its parameter schema and
-    shape (the `repro.topologies` registry); ``--check`` validates the
-    registry (factories build, socket tables consistent, aliases
-    resolve) and exits 1 on drift — the CI scaling-smoke gate.
+``policies|topologies [--json|--names|--check|--tag T]``
+    Show every registered policy (the `repro.policies` registry) or
+    machine preset (the `repro.topologies` registry) with its parameter
+    schema and defaults, plus each policy's invariant contract or each
+    machine's shape.  Both verbs share one listing and one ``--check``:
+    every factory builds, defaults pass their own schema, aliases
+    resolve, ``describe()`` is JSON-clean, plus each verb's own rules
+    (a policy's scheduler name and contract, a machine's socket
+    tables); exit 1 on drift — the CI policy-matrix and scaling-smoke
+    gates.
 ``run <experiment-id> [--scale S] [--seed N]``
     Regenerate one table/figure and print its plain-text render.
 ``compare <workload> [--scale S] [--seed N]``
@@ -67,10 +67,16 @@ settings), ``--workers``, ``--cache-dir``, ``--trace-out`` and
 ``--invariants``; ``run``/``timeline``/``trace``/``campaign``/
 ``traffic``/``bench`` additionally accept ``--topology
 NAME[:K=V,...]``, resolved through the topology registry (``repro
-topologies`` lists the presets).  Verbs that always run in-process
+topologies`` lists the presets).  ``campaign``/``traffic``/``tune``
+always run through a campaign: they share ``--no-cache``,
+``--timeout``, ``--retries``, ``--events``, ``--verbose``, ``--llc`` and
+``--batch`` (and ``--dry-run`` on the first two), and default to 2
+workers and the ``.campaign`` cache.  Verbs that always run in-process
 (``bench``, ``trace``) note ignored backend flags on stderr rather than
 erroring, and the paper-pinned experiment verbs (``run``) likewise note
-a non-default ``--topology`` instead of failing.
+a non-default ``--topology`` instead of failing.  Workload and policy
+positionals take their choices from the registries, and counts below 1
+are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -102,6 +108,17 @@ DEFAULT_CACHE_DIR = ".campaign"
 QUICK_SCALE = 0.05
 
 
+def _count(raw: str) -> int:
+    """argparse type of a count flag: an int >= 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return value
+
+
 def _common_parent() -> argparse.ArgumentParser:
     """Shared run-shape flags: every simulating verb accepts these."""
     p = argparse.ArgumentParser(add_help=False)
@@ -125,14 +142,13 @@ def _backend_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("campaign backend options")
     g.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel simulation workers (default: 2 for the campaign "
-             "verb, else 1 = in-process serial)",
+        "--workers", type=_count, default=1,
+        help="parallel simulation workers (default: %(default)s; "
+             "1 = in-process serial)",
     )
     g.add_argument(
         "--cache-dir", default=None,
-        help="result-cache directory "
-             f"(campaign verb default: {DEFAULT_CACHE_DIR})",
+        help="result-cache directory (default: %(default)s)",
     )
     g.add_argument(
         "--trace-out", default=None,
@@ -143,6 +159,49 @@ def _backend_parent() -> argparse.ArgumentParser:
         "--invariants", action="store_true",
         help="attach the per-policy invariant contract to every "
              "simulation (counts land in campaign telemetry)",
+    )
+    return p
+
+
+def _campaign_run_parent(dry_run: bool) -> argparse.ArgumentParser:
+    """Flags of the verbs that always run through a campaign
+    (``campaign``, ``traffic``, ``tune``); ``--dry-run`` where the verb
+    has a plan to show."""
+    p = argparse.ArgumentParser(add_help=False)
+    g = p.add_argument_group("campaign run options")
+    if dry_run:
+        g.add_argument(
+            "--dry-run", action="store_true",
+            help="print the plan (task counts, dedup, cache state) and exit",
+        )
+    g.add_argument(
+        "--no-cache", action="store_true",
+        help="skip the on-disk result cache (still dedups in memory)",
+    )
+    g.add_argument(
+        "--timeout", type=float, default=None,
+        help="per-task timeout in seconds (default: none)",
+    )
+    g.add_argument(
+        "--retries", type=int, default=2,
+        help="extra attempts per failing task (default: 2)",
+    )
+    g.add_argument(
+        "--events", default=None,
+        help="events JSONL path (default: <cache-dir>/events.jsonl)",
+    )
+    g.add_argument(
+        "--verbose", action="store_true",
+        help="one progress line per task instead of ~1/second",
+    )
+    g.add_argument(
+        "--llc", default=None, choices=("null", "occupancy"),
+        help="shared-LLC model (default: null — no cache modelling)",
+    )
+    g.add_argument(
+        "--batch", action="store_true",
+        help="group compatible tasks into multi-run batches for the "
+             "vectorized engine (identical results and cache bytes)",
     )
     return p
 
@@ -162,6 +221,8 @@ def _topology_parent() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.policies import REGISTRY
+
     parser = argparse.ArgumentParser(
         prog="dike-repro",
         description=(
@@ -173,53 +234,50 @@ def build_parser() -> argparse.ArgumentParser:
     common = _common_parent()
     backend = _backend_parent()
     machine = _topology_parent()
+    workloads = dict(choices=tuple(WORKLOAD_TABLE), metavar="workload",
+                     help="wl1 .. wl16")
+
+    def campaign_verb(name: str, help: str, dry_run: bool = True):
+        # A backend parent of its own: set_defaults rewrites the defaults
+        # of the parent's (shared) argument objects.
+        p = sub.add_parser(
+            name, help=help,
+            parents=[common, _backend_parent(), machine,
+                     _campaign_run_parent(dry_run)],
+        )
+        p.set_defaults(workers=2, cache_dir=DEFAULT_CACHE_DIR)
+        return p
 
     sub.add_parser("list", help="list regenerable experiments")
 
-    p_pol = sub.add_parser(
-        "policies",
-        help="list registered policies (schema, defaults, contracts)",
-    )
-    p_pol.add_argument(
-        "--json", action="store_true",
-        help="print the full registry as a JSON document",
-    )
-    p_pol.add_argument(
-        "--names", action="store_true",
-        help="print canonical policy names only, one per line (scripting)",
-    )
-    p_pol.add_argument(
-        "--check", action="store_true",
-        help="validate the registry (factories build, contracts resolve, "
-             "schemas round-trip); exit 1 on drift",
-    )
-    p_pol.add_argument(
-        "--tag", default=None,
-        help="only show policies carrying this tag "
-             "(e.g. standard, baseline, ablation, cache-aware)",
-    )
-
-    p_topo = sub.add_parser(
-        "topologies",
-        help="list registered machine presets (schema, shape, aliases)",
-    )
-    p_topo.add_argument(
-        "--json", action="store_true",
-        help="print the full registry as a JSON document",
-    )
-    p_topo.add_argument(
-        "--names", action="store_true",
-        help="print canonical topology names only, one per line (scripting)",
-    )
-    p_topo.add_argument(
-        "--check", action="store_true",
-        help="validate the registry (factories build, socket tables "
-             "consistent, aliases resolve); exit 1 on drift",
-    )
-    p_topo.add_argument(
-        "--tag", default=None,
-        help="only show topologies carrying this tag (e.g. paper, scale)",
-    )
+    for verb, registry, columns, _ in _registry_verbs():
+        kind, plural = registry.error.kind, registry.error.plural
+        tags = sorted({t for s in registry for t in s.tags})
+        p_reg = sub.add_parser(
+            verb,
+            help=f"list registered {plural} "
+                 f"({', '.join(header for header, _ in columns[1:-1])})",
+        )
+        p_reg.add_argument(
+            "--json", action="store_true",
+            help="print the full registry as a JSON document",
+        )
+        p_reg.add_argument(
+            "--names", action="store_true",
+            help=f"print canonical {kind} names only, one per line "
+                 "(scripting)",
+        )
+        p_reg.add_argument(
+            "--check", action="store_true",
+            help="validate the registry (factories build, schemas "
+                 "round-trip, aliases resolve, describe() is JSON-clean, "
+                 f"plus the {kind} checks); exit 1 on drift",
+        )
+        p_reg.add_argument(
+            "--tag", default=None,
+            help=f"only show {plural} carrying this tag "
+                 f"(one of {', '.join(tags)})",
+        )
 
     p_run = sub.add_parser(
         "run", help="regenerate one experiment",
@@ -230,30 +288,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser(
         "compare", help="compare policies on one workload", parents=[common]
     )
-    p_cmp.add_argument("workload", help="wl1 .. wl16")
+    p_cmp.add_argument("workload", **workloads)
 
     p_rep = sub.add_parser(
         "report", help="full evaluation + shape checklist",
         parents=[common, backend],
     )
     p_rep.add_argument(
-        "--seeds", type=int, default=1,
+        "--seeds", type=_count, default=1,
         help="average the evaluation over this many seeds",
     )
 
     p_repl = sub.add_parser(
         "replicate", help="multi-seed robustness check", parents=[common]
     )
-    p_repl.add_argument("workload", help="wl1 .. wl16")
-    p_repl.add_argument("--seeds", type=int, default=3, help="number of seeds")
+    p_repl.add_argument("workload", **workloads)
+    p_repl.add_argument("--seeds", type=_count, default=3, help="number of seeds")
 
     p_tl = sub.add_parser(
         "timeline", help="placement timeline of one run",
         parents=[common, machine],
     )
-    p_tl.add_argument("workload", help="wl1 .. wl16")
+    p_tl.add_argument("workload", **workloads)
     p_tl.add_argument(
-        "policy", choices=sorted(_policy_choices()), help="scheduling policy"
+        "policy", choices=REGISTRY.names(), help="scheduling policy"
     )
 
     sub.add_parser(
@@ -264,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run one workload with full observability",
         parents=[common, backend, machine],
     )
-    p_trace.add_argument("workload", help="wl1 .. wl16")
+    p_trace.add_argument("workload", **workloads)
     p_trace.add_argument(
         "--policy", default="dike", metavar="NAME[:K=V,...]",
         help="scheduling policy with optional parameter overrides "
@@ -280,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also export a Chrome trace_event JSON to this path",
     )
     p_trace.add_argument(
-        "--max-bytes", type=int, default=None,
+        "--max-bytes", type=_count, default=None,
         help="rotate the JSONL file beyond this size (default: never)",
     )
     p_trace.add_argument(
@@ -315,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, backend, machine],
     )
     p_bench.add_argument(
-        "--repeats", type=int, default=3,
+        "--repeats", type=_count, default=3,
         help="timed runs per case, best kept (default: 3)",
     )
     p_bench.add_argument(
@@ -347,11 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
              "flat dike vs dike-hier, 40 -> 512 vcores) and ratchet it",
     )
 
-    p_tr = sub.add_parser(
+    p_tr = campaign_verb(
         "traffic",
         help="open-loop arrival sweeps: process x rate x policy with "
              "tail-latency metrics",
-        parents=[common, backend, machine],
     )
     p_tr.add_argument(
         "--processes", default="poisson,bursty,diurnal",
@@ -368,10 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated open-loop policies (default: cfs,dio,dike)",
     )
     p_tr.add_argument(
-        "--jobs", type=int, default=16, help="jobs per generated trace"
+        "--jobs", type=_count, default=16, help="jobs per generated trace"
     )
     p_tr.add_argument(
-        "--threads-per-job", type=int, default=8,
+        "--threads-per-job", type=_count, default=8,
         help="threads per job (default: 8, the paper's instance size)",
     )
     p_tr.add_argument(
@@ -379,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the arrival sampling (the engine seed is --seed)",
     )
     p_tr.add_argument(
-        "--seeds", type=int, default=1,
+        "--seeds", type=_count, default=1,
         help="number of engine seeds per cell (seed, seed+1, ...)",
     )
     p_tr.add_argument(
@@ -390,44 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write each generated job trace (schema-versioned JSONL) "
              "into DIR",
     )
-    p_tr.add_argument(
-        "--dry-run", action="store_true",
-        help="print the plan (task counts, dedup, cache state) and exit",
-    )
-    p_tr.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk result cache (still dedups in memory)",
-    )
-    p_tr.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-task timeout in seconds (default: none)",
-    )
-    p_tr.add_argument(
-        "--retries", type=int, default=2,
-        help="extra attempts per failing task (default: 2)",
-    )
-    p_tr.add_argument(
-        "--events", default=None,
-        help="events JSONL path (default: <cache-dir>/events.jsonl)",
-    )
-    p_tr.add_argument(
-        "--verbose", action="store_true",
-        help="one progress line per task instead of ~1/second",
-    )
-    p_tr.add_argument(
-        "--llc", default=None, choices=("null", "occupancy"),
-        help="shared-LLC model (default: null — no cache modelling)",
-    )
-    p_tr.add_argument(
-        "--batch", action="store_true",
-        help="group compatible tasks into multi-run batches for the "
-             "vectorized engine (identical results and cache bytes)",
-    )
 
-    p_camp = sub.add_parser(
-        "campaign",
-        help="parallel, cached, fault-tolerant experiment grids",
-        parents=[common, backend, machine],
+    p_camp = campaign_verb(
+        "campaign", help="parallel, cached, fault-tolerant experiment grids"
     )
     p_camp.add_argument(
         "--workloads", default=None,
@@ -438,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated policy names (default: the paper's five)",
     )
     p_camp.add_argument(
-        "--seeds", type=int, default=1,
+        "--seeds", type=_count, default=1,
         help="number of seeds per grid cell (seed, seed+1, ...)",
     )
     p_camp.add_argument(
@@ -450,47 +472,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="declarative parameter grid: repeatable; crosses every "
              "policy whose schema has all grid keys with the cartesian "
              "product (e.g. --param swap_size=4,8 "
-             "--param fairness_threshold=0.05,0.1)",
-    )
-    p_camp.add_argument(
-        "--dry-run", action="store_true",
-        help="print the plan (task counts, dedup, cache state) and exit",
-    )
-    p_camp.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk result cache (still dedups in memory)",
-    )
-    p_camp.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-task timeout in seconds (default: none)",
-    )
-    p_camp.add_argument(
-        "--retries", type=int, default=2,
-        help="extra attempts per failing task (default: 2)",
-    )
-    p_camp.add_argument(
-        "--events", default=None,
-        help="events JSONL path (default: <cache-dir>/events.jsonl)",
-    )
-    p_camp.add_argument(
-        "--verbose", action="store_true",
-        help="one progress line per task instead of ~1/second",
-    )
-    p_camp.add_argument(
-        "--llc", default=None, choices=("null", "occupancy"),
-        help="shared-LLC model (default: null — no cache modelling)",
-    )
-    p_camp.add_argument(
-        "--batch", action="store_true",
-        help="group compatible tasks into multi-run batches for the "
-             "vectorized engine (identical results and cache bytes)",
+             "--param fairness_threshold=0.05,0.1); a key given twice or "
+             "in no policy's schema is an error",
     )
 
-    p_tune = sub.add_parser(
+    p_tune = campaign_verb(
         "tune",
         help="offline parameter search over the campaign backend: emit "
              "a tuned policy artifact + comparison report",
-        parents=[common, backend, machine],
+        dry_run=False,
     )
     p_tune.add_argument(
         "--policy", default="dike",
@@ -504,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
              "scale); default: ga",
     )
     p_tune.add_argument(
-        "--budget", type=int, default=24,
+        "--budget", type=_count, default=24,
         help="distinct candidate evaluations the search may spend "
              "(cache hits make revisits free); default: 24",
     )
@@ -518,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated evaluation workloads (default: all 16)",
     )
     p_tune.add_argument(
-        "--seeds", type=int, default=1,
+        "--seeds", type=_count, default=1,
         help="engine seeds per evaluation cell (seed, seed+1, ...)",
     )
     p_tune.add_argument(
@@ -527,11 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
              "swap_size,quanta_length_s,fairness_threshold)",
     )
     p_tune.add_argument(
-        "--population", type=int, default=8,
+        "--population", type=_count, default=8,
         help="GA population size (default: 8)",
     )
     p_tune.add_argument(
-        "--eta", type=int, default=2,
+        "--eta", type=_count, default=2,
         help="halving promotion factor (default: 2)",
     )
     p_tune.add_argument(
@@ -554,78 +544,24 @@ def build_parser() -> argparse.ArgumentParser:
              "as JSON here — kept out of the artifact so reruns stay "
              "byte-identical",
     )
-    p_tune.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk result cache (still dedups in memory)",
-    )
-    p_tune.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-task timeout in seconds (default: none)",
-    )
-    p_tune.add_argument(
-        "--retries", type=int, default=2,
-        help="extra attempts per failing task (default: 2)",
-    )
-    p_tune.add_argument(
-        "--events", default=None,
-        help="events JSONL path (default: <cache-dir>/events.jsonl)",
-    )
-    p_tune.add_argument(
-        "--verbose", action="store_true",
-        help="one progress line per task instead of ~1/second",
-    )
-    p_tune.add_argument(
-        "--llc", default=None, choices=("null", "occupancy"),
-        help="shared-LLC model (default: null — no cache modelling)",
-    )
-    p_tune.add_argument(
-        "--batch", action="store_true",
-        help="group compatible tasks into multi-run batches for the "
-             "vectorized engine (identical results and cache bytes)",
-    )
     return parser
 
 
-def _policy_choices() -> dict:
-    """name -> default-parameter factory, for every registered policy."""
-    from repro.policies import REGISTRY
-
-    return {s.name: s.from_params({}) for s in REGISTRY}
-
-
-def _build_policy(arg: str) -> tuple[str, object]:
-    """``name[:param=value,...]`` -> (name, validated zero-arg factory).
-
-    Raises ``ValueError`` (including ``UnknownPolicyError``) on a bad
-    name or parameter, with the registry's own error message.  Parsing
-    and validation go through the spec layer (`repro.spec.PolicyRef`),
-    the same path campaign planning uses.
-    """
-    from repro.spec import PolicyRef
-
-    ref = PolicyRef.from_arg(arg)
-    return ref.name, ref.spec.from_params(dict(ref.params))
-
-
-def _resolve_topology(args: argparse.Namespace) -> tuple[str, dict]:
-    """Resolve the shared ``--topology`` flag to (canonical name, params).
-
-    The one place CLI topology names meet the registry: parses the
-    ``name[:param=value,...]`` grammar via the spec layer
-    (`repro.spec.TopologyRef`), canonicalises aliases and validates
-    parameters against the preset's schema.  Raises ``ValueError``
-    (including ``UnknownTopologyError``) on bad input.
-    """
+def _topology(args: argparse.Namespace):
+    """The shared ``--topology`` flag as a `repro.spec.TopologyRef` under
+    its canonical name (aliases resolved, parameters validated against
+    the preset's schema).  Raises ``ValueError`` (including
+    ``UnknownTopologyError``) on bad input."""
     from repro.spec import TopologyRef
 
-    ref = TopologyRef.from_arg(getattr(args, "topology", "heterogeneous"))
-    return ref.spec.name, dict(ref.params)
+    ref = TopologyRef.from_arg(args.topology)
+    return TopologyRef(ref.spec.name, ref.params)
 
 
 def _note_pinned_topology(args: argparse.Namespace) -> None:
     """Paper-experiment verbs accept but ignore a non-default topology."""
-    name, params = _resolve_topology(args)
-    if name != "heterogeneous" or params:
+    topo = _topology(args)
+    if topo.name != "heterogeneous" or topo.params:
         print(
             f"note: {args.command} regenerates paper artefacts pinned to "
             "the paper machine; --topology ignored",
@@ -637,8 +573,6 @@ def _resolve_shared_flags(args: argparse.Namespace) -> None:
     """Fill in the context-dependent defaults of the shared flags."""
     if getattr(args, "scale", "absent") is None:
         args.scale = QUICK_SCALE if getattr(args, "quick", False) else 1.0
-    if getattr(args, "workers", "absent") is None:
-        args.workers = 2 if args.command in ("campaign", "traffic", "tune") else 1
 
 
 def _note_inprocess_flags(args: argparse.Namespace) -> None:
@@ -660,24 +594,10 @@ def _note_inprocess_flags(args: argparse.Namespace) -> None:
 
 
 def _make_campaign(args: argparse.Namespace):
-    """Build a Campaign from CLI flags, or None for the plain inline path."""
+    """The Campaign the CLI flags describe."""
     from repro.campaign import Campaign, ExecutorConfig, ResultStore, Telemetry
 
-    invariants = getattr(args, "invariants", False)
-    trace_dir = getattr(args, "trace_out", None)
-    cache_dir = args.cache_dir
-    if getattr(args, "no_cache", False):
-        cache_dir = None
-    elif cache_dir is None and args.command in ("campaign", "traffic", "tune"):
-        cache_dir = DEFAULT_CACHE_DIR
-    if (
-        cache_dir is None
-        and args.workers <= 1
-        and not invariants
-        and trace_dir is None
-        and args.command not in ("campaign", "traffic", "tune")
-    ):
-        return None
+    cache_dir = None if getattr(args, "no_cache", False) else args.cache_dir
     events = getattr(args, "events", None)
     if events is None and cache_dir is not None:
         events = f"{cache_dir}/events.jsonl"
@@ -693,8 +613,8 @@ def _make_campaign(args: argparse.Namespace):
             stream=sys.stderr,
             verbose=getattr(args, "verbose", False),
         ),
-        invariants=invariants,
-        trace_dir=trace_dir,
+        invariants=args.invariants,
+        trace_dir=args.trace_out,
         batch=getattr(args, "batch", False),
     )
 
@@ -704,20 +624,101 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_policies(args: argparse.Namespace) -> int:
-    import json
+def _defaults_cell(spec) -> str:
+    return ", ".join(f"{p.name}={p.default}" for p in spec.params) or "-"
 
+
+def _shape_cell(spec) -> str:
+    built = spec.build()
+    return f"{built.n_sockets}s/{built.n_vcores}v" + (
+        " het" if built.is_heterogeneous else ""
+    )
+
+
+def _policy_problems(spec, scheduler):
+    """The policy-only ``--check`` rules: the built scheduler's name and
+    the invariant contract, as the invariant checker resolves it."""
+    from repro.obs.invariants import RULES, InvariantSink
+
+    if scheduler.name != spec.name and scheduler.name not in spec.aliases:
+        yield (
+            f"built scheduler reports name {scheduler.name!r}, "
+            "which is neither the policy name nor a declared alias"
+        )
+    unknown_rules = set(spec.invariants) - set(RULES)
+    if unknown_rules:
+        yield f"unknown invariant rule(s) {sorted(unknown_rules)}"
+    if not spec.invariants:
+        yield "empty invariant contract"
+    try:
+        sink = InvariantSink.for_policy(spec.name)
+    except Exception as exc:  # noqa: BLE001 - report, don't crash
+        yield f"for_policy failed: {exc}"
+    else:
+        if sink.rules != spec.invariants:
+            yield (
+                f"for_policy rules {sink.rules} drifted from the spec "
+                f"contract {spec.invariants}"
+            )
+
+
+def _topology_problems(spec, machine):
+    """The topology-only ``--check`` rules: the built machine has vcores
+    and its socket tables cover every one."""
+    if machine.n_vcores < 1:
+        yield "built machine has no vcores"
+    covered = sum(
+        len(machine.vcores_on_socket(sid)) for sid in range(machine.n_sockets)
+    )
+    if covered != machine.n_vcores:
+        yield (
+            f"socket tables cover {covered} vcores, machine has "
+            f"{machine.n_vcores}"
+        )
+
+
+def _registry_verbs():
+    """``(verb, registry, table columns, the verb's own --check rules)``
+    of the two registry-listing verbs; each column is (header, cell)."""
     from repro.policies import REGISTRY
+    from repro.topologies import TOPOLOGY_REGISTRY
 
+    return (
+        ("policies", REGISTRY, (
+            ("policy", lambda s: s.name),
+            ("tags", lambda s: ",".join(s.tags) or "-"),
+            ("parameters (defaults)", _defaults_cell),
+            ("invariant contract", lambda s: ",".join(s.invariants) or "-"),
+            ("description", lambda s: s.doc),
+        ), _policy_problems),
+        ("topologies", TOPOLOGY_REGISTRY, (
+            ("topology", lambda s: s.name),
+            ("tags", lambda s: ",".join(s.tags) or "-"),
+            ("shape", _shape_cell),
+            ("parameters (defaults)", _defaults_cell),
+            ("description", lambda s: s.doc),
+        ), _topology_problems),
+    )
+
+
+def _cmd_registry(args: argparse.Namespace) -> int:
+    """``repro policies`` / ``repro topologies``: list a registry, or
+    check it with ``--check``."""
+    import json
+
+    _, registry, columns, own_problems = next(
+        v for v in _registry_verbs() if v[0] == args.command
+    )
+    kind, plural = registry.error.kind, registry.error.plural
     if args.check:
-        return _check_registry()
-    specs = list(REGISTRY)
+        return _check_registry(registry, own_problems)
+    specs = list(registry)
     if args.tag is not None:
-        specs = [s for s in specs if args.tag in s.tags]
+        specs = list(registry.tagged(args.tag))
         if not specs:
-            known = sorted({t for s in REGISTRY for t in s.tags})
+            known = sorted({t for s in registry for t in s.tags})
             print(
-                f"error: no policy carries tag {args.tag!r}; "
+                f"error: no {kind} carries tag {args.tag!r}; "
                 f"known tags: {', '.join(known)}",
                 file=sys.stderr,
             )
@@ -731,107 +732,33 @@ def _cmd_policies(args: argparse.Namespace) -> int:
             [s.describe() for s in specs], indent=2, sort_keys=True
         ))
         return 0
-    rows = []
-    for s in specs:
-        params = ", ".join(
-            f"{p.name}={p.default}" for p in s.params
-        ) or "-"
-        rows.append([
-            s.name,
-            ",".join(s.tags) or "-",
-            params,
-            ",".join(s.invariants) or "-",
-            s.doc,
-        ])
-    title = f"{len(specs)} registered policies"
+    title = f"{len(specs)} registered {plural}"
     if args.tag is not None:
         title += f" tagged {args.tag!r}"
     print(format_table(
-        ["policy", "tags", "parameters (defaults)", "invariant contract",
-         "description"],
-        rows,
+        [header for header, _ in columns],
+        [[cell(s) for _, cell in columns] for s in specs],
         title=title,
     ))
     return 0
 
 
-def _cmd_topologies(args: argparse.Namespace) -> int:
+def _check_registry(registry, own_problems) -> int:
+    """Registry completeness / drift gate (CI policy-matrix and
+    scaling-smoke): every spec's default factory builds and passes
+    ``own_problems``, its defaults pass its own schema, its aliases
+    resolve to it and its ``describe()`` is JSON-clean."""
     import json
 
-    from repro.topologies import TOPOLOGY_REGISTRY
-
-    if args.check:
-        return _check_topology_registry()
-    specs = list(TOPOLOGY_REGISTRY)
-    if args.tag is not None:
-        specs = [s for s in specs if args.tag in s.tags]
-        if not specs:
-            known = sorted({t for s in TOPOLOGY_REGISTRY for t in s.tags})
-            print(
-                f"error: no topology carries tag {args.tag!r}; "
-                f"known tags: {', '.join(known)}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.names:
-        for s in specs:
-            print(s.name)
-        return 0
-    if args.json:
-        print(json.dumps(
-            [s.describe() for s in specs], indent=2, sort_keys=True
-        ))
-        return 0
-    rows = []
-    for s in specs:
-        d = s.describe()
-        shape = f"{d['n_sockets']}s/{d['n_vcores']}v"
-        if d["heterogeneous"]:
-            shape += " het"
-        params = ", ".join(
-            f"{p.name}={p.default}" for p in s.params
-        ) or "-"
-        rows.append([
-            s.name,
-            ",".join(s.tags) or "-",
-            shape,
-            params,
-            s.doc,
-        ])
-    title = f"{len(specs)} registered topologies"
-    if args.tag is not None:
-        title += f" tagged {args.tag!r}"
-    print(format_table(
-        ["topology", "tags", "shape", "parameters (defaults)", "description"],
-        rows,
-        title=title,
-    ))
-    return 0
-
-
-def _check_topology_registry() -> int:
-    """Topology registry completeness gate (CI scaling-smoke)."""
-    import json
-
-    from repro.topologies import TOPOLOGY_REGISTRY
-
+    kind, plural = registry.error.kind, registry.error.plural
     problems: list[str] = []
-    for s in TOPOLOGY_REGISTRY:
+    for s in registry:
         try:
             built = s.build()
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             problems.append(f"{s.name}: default factory failed: {exc}")
             continue
-        if built.n_vcores < 1:
-            problems.append(f"{s.name}: built machine has no vcores")
-        covered = sum(
-            len(built.vcores_on_socket(sid)) for sid in range(built.n_sockets)
-        )
-        if covered != built.n_vcores:
-            problems.append(
-                f"{s.name}: socket tables cover {covered} vcores, "
-                f"machine has {built.n_vcores}"
-            )
+        problems += [f"{s.name}: {p}" for p in own_problems(s, built)]
         try:
             s.from_params(s.defaults())
         except Exception as exc:  # noqa: BLE001
@@ -839,7 +766,7 @@ def _check_topology_registry() -> int:
                 f"{s.name}: schema defaults fail their own validation: {exc}"
             )
         for alias in s.aliases:
-            if TOPOLOGY_REGISTRY.get(alias) is not s:
+            if registry.get(alias) is not s:
                 problems.append(
                     f"{s.name}: alias {alias!r} resolves to a different spec"
                 )
@@ -849,67 +776,16 @@ def _check_topology_registry() -> int:
             problems.append(f"{s.name}: describe() not JSON-serializable: {exc}")
     if problems:
         print(
-            f"topology registry check FAILED ({len(problems)} problem(s)):",
+            f"{kind} registry check FAILED ({len(problems)} problem(s)):",
             file=sys.stderr,
         )
         for p in problems:
             print(f"  {p}", file=sys.stderr)
         return 1
     print(
-        f"topology registry OK ({len(TOPOLOGY_REGISTRY)} topologies, "
-        f"{sum(len(s.params) for s in TOPOLOGY_REGISTRY)} parameters checked)"
+        f"{kind} registry OK ({len(registry)} {plural}, "
+        f"{sum(len(s.params) for s in registry)} parameters checked)"
     )
-    return 0
-
-
-def _check_registry() -> int:
-    """Registry completeness / contract-drift gate (CI policy-matrix)."""
-    from repro.obs.invariants import RULES, InvariantSink
-    from repro.policies import REGISTRY
-
-    problems: list[str] = []
-    for s in REGISTRY:
-        try:
-            built = s.build()
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
-            problems.append(f"{s.name}: default factory failed: {exc}")
-            continue
-        if built.name != s.name and built.name not in s.aliases:
-            problems.append(
-                f"{s.name}: built scheduler reports name {built.name!r}, "
-                "which is neither the policy name nor a declared alias"
-            )
-        unknown_rules = set(s.invariants) - set(RULES)
-        if unknown_rules:
-            problems.append(
-                f"{s.name}: unknown invariant rule(s) {sorted(unknown_rules)}"
-            )
-        if not s.invariants:
-            problems.append(f"{s.name}: empty invariant contract")
-        try:
-            sink = InvariantSink.for_policy(s.name)
-        except Exception as exc:  # noqa: BLE001
-            problems.append(f"{s.name}: for_policy failed: {exc}")
-        else:
-            if sink.rules != s.invariants:
-                problems.append(
-                    f"{s.name}: for_policy rules {sink.rules} drifted from "
-                    f"the spec contract {s.invariants}"
-                )
-        try:
-            s.from_params(s.defaults())
-        except Exception as exc:  # noqa: BLE001
-            problems.append(
-                f"{s.name}: schema defaults fail their own validation: {exc}"
-            )
-    if problems:
-        print(f"policy registry check FAILED ({len(problems)} problem(s)):",
-              file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        return 1
-    print(f"policy registry OK ({len(REGISTRY)} policies, "
-          f"{sum(len(s.params) for s in REGISTRY)} parameters checked)")
     return 0
 
 
@@ -993,17 +869,16 @@ def _cmd_replicate(wl_name: str, n_seeds: int, scale: float, seed: int) -> int:
 def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.analysis.timeline import placement_timeline, swap_activity_sparkline
     from repro.experiments.runner import run_workload
-    from repro.topologies import TOPOLOGY_REGISTRY
+    from repro.policies import REGISTRY
 
     try:
-        topo_name, topo_params = _resolve_topology(args)
+        topo = _topology(args).build()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    topo = TOPOLOGY_REGISTRY.build(topo_name, topo_params)
     spec = workload(args.workload)
     result = run_workload(
-        spec, _policy_choices()[args.policy](), seed=args.seed,
+        spec, REGISTRY.build(args.policy), seed=args.seed,
         work_scale=args.scale, topology=topo, record_timeseries=True,
     )
     print(placement_timeline(result, topo))
@@ -1015,18 +890,17 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_workload
     from repro.obs import attach
-    from repro.topologies import TOPOLOGY_REGISTRY
+    from repro.spec import PolicyRef
 
     _note_inprocess_flags(args)
     spec = workload(args.workload)
     try:
-        policy_name, factory = _build_policy(args.policy)
-        topo_name, topo_params = _resolve_topology(args)
+        policy = PolicyRef.from_arg(args.policy)
+        topology = _topology(args).build()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    scheduler = factory()
-    topology = TOPOLOGY_REGISTRY.build(topo_name, topo_params)
+    policy_name, scheduler = policy.name, policy.build()
     out = args.trace_out or args.out or "trace.jsonl"
     # Dike carries its swapSize in config; the policy contract picks it
     # up so the budget rule starts from the configured value.
@@ -1136,17 +1010,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_suite,
         write_report,
     )
-    from repro.topologies import TOPOLOGY_REGISTRY
-
     _note_inprocess_flags(args)
     try:
-        topo_name, topo_params = _resolve_topology(args)
+        topo = _topology(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     topology_factory = (
-        TOPOLOGY_REGISTRY.factory(topo_name, topo_params)
-        if topo_name != "heterogeneous" or topo_params
+        topo.spec.from_params(dict(topo.params))
+        if topo.name != "heterogeneous" or topo.params
         else None
     )
     if topology_factory is not None and args.baseline:
@@ -1391,9 +1263,8 @@ def _parse_param_grid(
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignSpec, TaskFailure, plan
+    from repro.campaign import CampaignSpec, plan
     from repro.policies import REGISTRY
-    from repro.util.stats import geometric_mean
 
     workloads = (
         tuple(args.workloads.split(",")) if args.workloads
@@ -1404,7 +1275,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         else tuple(s.name for s in REGISTRY.tagged("standard"))
     )
     try:
-        topo_name, topo_params = _resolve_topology(args)
+        topo = _topology(args)
         spec = CampaignSpec(
             name="sweep-grid" if args.sweep else "fig6-grid",
             workloads=workloads,
@@ -1415,37 +1286,35 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             param_grid=_parse_param_grid(args.param),
             invariants=args.invariants,
             llc=args.llc,
-            topology=topo_name,
-            topology_params=tuple(sorted(topo_params.items())),
+            topology=topo.name,
+            topology_params=topo.params,
         )
         campaign = _make_campaign(args)
         the_plan = plan(spec)
     except ValueError as exc:  # bad workload/policy/seed flags, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if campaign.store is not None:
-        the_plan = replace(
-            the_plan,
-            cached=frozenset(k for k in the_plan.keys if k in campaign.store),
-        )
-    print(the_plan.describe())
-    if args.dry_run:
-        return 0
+    return _run_plan(
+        args, campaign, the_plan,
+        lambda results: _report_campaign(spec, dict(zip(the_plan.keys, results))),
+    )
 
-    results = campaign.gather(list(the_plan.tasks), strict=False)
-    by_key = dict(zip(the_plan.keys, results))
-    failures = [r for r in results if isinstance(r, TaskFailure)]
-    campaign.telemetry.close()
 
-    # Aggregate policy summary (over cells whose runs all succeeded).
+def _report_campaign(spec, by_key: dict) -> None:
+    """The policy aggregate table of a campaign that includes ``cfs``
+    (over cells whose runs all succeeded)."""
+    from repro.campaign import TaskFailure
+    from repro.util.stats import geometric_mean
+
+    policies, workloads = spec.policies, spec.workloads
     if "cfs" in policies:
         rows = []
         for p in policies:
             fair_vals, speed_vals = [], []
             for wl in workloads:
                 for s in spec.seeds:
-                    run = _cell(by_key, spec, wl, p, s, campaign.invariants)
-                    base = _cell(by_key, spec, wl, "cfs", s, campaign.invariants)
+                    run = _cell(by_key, spec, wl, p, s)
+                    base = _cell(by_key, spec, wl, "cfs", s)
                     # A param_grid campaign has no unparameterised cell for
                     # grid-covered policies (None here); skip those rows.
                     if run is None or base is None:
@@ -1469,15 +1338,42 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                       f"({len(workloads)} workloads x {len(spec.seeds)} seeds)",
             )
         )
-    print(f"\n[campaign] {campaign.telemetry.render_summary()}")
+
+
+def _run_plan(args: argparse.Namespace, campaign, the_plan, report,
+              before_run=None) -> int:
+    """The shared tail of ``campaign`` and ``traffic``: print the plan
+    (with its cache state), stop there on ``--dry-run``, gather every
+    task, hand the results to ``report``, and exit 1 on a failed task
+    or an invariant violation.  ``before_run`` runs after the plan is
+    printed, dry run or not."""
+    from repro.campaign import TaskFailure
+
+    if campaign.store is not None:
+        the_plan = replace(
+            the_plan,
+            cached=frozenset(k for k in the_plan.keys if k in campaign.store),
+        )
+    print(the_plan.describe())
+    if before_run is not None:
+        before_run()
+    if args.dry_run:
+        return 0
+
+    results = campaign.gather(list(the_plan.tasks), strict=False)
+    failures = [r for r in results if isinstance(r, TaskFailure)]
+    campaign.telemetry.close()
+    report(results)
+    tag = f"[{args.command}]"
+    print(f"\n{tag} {campaign.telemetry.render_summary()}")
     if failures:
-        print(f"[campaign] {len(failures)} task(s) failed:", file=sys.stderr)
+        print(f"{tag} {len(failures)} task(s) failed:", file=sys.stderr)
         for f in failures:
             print(f"  {f.label} [{f.kind} x{f.attempts}]: {f.error}", file=sys.stderr)
         return 1
     if campaign.telemetry.invariant_violations:
         print(
-            f"[campaign] {campaign.telemetry.invariant_violations} invariant "
+            f"{tag} {campaign.telemetry.invariant_violations} invariant "
             "violation(s) — the scheduling contract does not hold",
             file=sys.stderr,
         )
@@ -1510,7 +1406,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
             for proc in processes
             for rate in rates
         )
-        topo_name, topo_params = _resolve_topology(args)
+        topo = _topology(args)
         spec = TrafficCampaignSpec(
             traffic=load,
             policies=tuple(args.policies.split(",")),
@@ -1518,104 +1414,85 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
             work_scale=args.scale,
             invariants=args.invariants,
             llc=args.llc,
-            topology=topo_name,
-            topology_params=tuple(sorted(topo_params.items())),
+            topology=topo.name,
+            topology_params=topo.params,
         )
         campaign = _make_campaign(args)
         the_plan = plan_traffic(spec)
     except ValueError as exc:  # bad process/rate/policy flags, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if campaign.store is not None:
-        the_plan = replace(
-            the_plan,
-            cached=frozenset(k for k in the_plan.keys if k in campaign.store),
-        )
-    print(the_plan.describe())
-    if args.emit_traces:
+
+    def emit_traces() -> None:
         trace_dir = Path(args.emit_traces)
         trace_dir.mkdir(parents=True, exist_ok=True)
         for t in load:
             path = write_trace(t.trace(), trace_dir / f"{t.name}.jsonl")
             print(f"[traffic] trace -> {path}")
-    if args.dry_run:
-        return 0
 
-    results = campaign.gather(list(the_plan.tasks), strict=False)
-    failures = [r for r in results if isinstance(r, TaskFailure)]
-    campaign.telemetry.close()
-
-    by_name = {t.name: t for t in load}
-    rows, cells = [], []
-    for task, res in zip(the_plan.tasks, results):
-        if isinstance(res, TaskFailure):
-            continue
-        t = by_name[task.workload.name]
-        summary = res.info.get("traffic", {})
-        rows.append([
-            t.process,
-            t.rate_per_s,
-            task.policy.name,
-            task.seed,
-            summary.get("slowdown_p50"),
-            summary.get("slowdown_p95"),
-            summary.get("slowdown_p99"),
-            summary.get("throughput_jobs_per_s"),
-            summary.get("queue_depth_peak"),
-        ])
-        cells.append({
-            "traffic": task.workload.name,
-            "process": t.process,
-            "rate_per_s": t.rate_per_s,
-            "n_jobs": t.n_jobs,
-            "trace_seed": t.trace_seed,
-            "policy": task.policy.name,
-            "seed": task.seed,
-            "makespan_s": res.makespan_s,
-            "summary": summary,
-        })
-    if rows:
-        print(
-            format_table(
-                [
-                    "process", "rate/s", "policy", "seed",
-                    "slow p50", "slow p95", "slow p99",
-                    "jobs/s", "queue peak",
-                ],
-                rows,
-                title=f"traffic {spec.name!r}: tail latency by cell "
-                      f"({len(load)} loads x {len(spec.policies)} policies "
-                      f"x {len(spec.seeds)} seeds)",
+    def report(results: list) -> None:
+        by_name = {t.name: t for t in load}
+        rows, cells = [], []
+        for task, res in zip(the_plan.tasks, results):
+            if isinstance(res, TaskFailure):
+                continue
+            t = by_name[task.workload.name]
+            summary = res.info.get("traffic", {})
+            rows.append([
+                t.process,
+                t.rate_per_s,
+                task.policy.name,
+                task.seed,
+                summary.get("slowdown_p50"),
+                summary.get("slowdown_p95"),
+                summary.get("slowdown_p99"),
+                summary.get("throughput_jobs_per_s"),
+                summary.get("queue_depth_peak"),
+            ])
+            cells.append({
+                "traffic": task.workload.name,
+                "process": t.process,
+                "rate_per_s": t.rate_per_s,
+                "n_jobs": t.n_jobs,
+                "trace_seed": t.trace_seed,
+                "policy": task.policy.name,
+                "seed": task.seed,
+                "makespan_s": res.makespan_s,
+                "summary": summary,
+            })
+        if rows:
+            print(
+                format_table(
+                    [
+                        "process", "rate/s", "policy", "seed",
+                        "slow p50", "slow p95", "slow p99",
+                        "jobs/s", "queue peak",
+                    ],
+                    rows,
+                    title=f"traffic {spec.name!r}: tail latency by cell "
+                          f"({len(load)} loads x {len(spec.policies)} policies "
+                          f"x {len(spec.seeds)} seeds)",
+                )
             )
-        )
-    if args.out:
-        report = {
-            "name": spec.name,
-            "work_scale": spec.work_scale,
-            "processes": list(processes),
-            "rates_per_s": list(rates),
-            "policies": list(spec.policies),
-            "seeds": list(spec.seeds),
-            "cells": cells,
-        }
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"[traffic] report -> {out}")
-    print(f"\n[traffic] {campaign.telemetry.render_summary()}")
-    if failures:
-        print(f"[traffic] {len(failures)} task(s) failed:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f.label} [{f.kind} x{f.attempts}]: {f.error}", file=sys.stderr)
-        return 1
-    if campaign.telemetry.invariant_violations:
-        print(
-            f"[traffic] {campaign.telemetry.invariant_violations} invariant "
-            "violation(s) — the scheduling contract does not hold",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        if args.out:
+            doc = {
+                "name": spec.name,
+                "work_scale": spec.work_scale,
+                "processes": list(processes),
+                "rates_per_s": list(rates),
+                "policies": list(spec.policies),
+                "seeds": list(spec.seeds),
+                "cells": cells,
+            }
+            out = Path(args.out)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            print(f"[traffic] report -> {out}")
+
+    return _run_plan(
+        args, campaign, the_plan, report,
+        before_run=emit_traces if args.emit_traces else None,
+    )
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
@@ -1624,7 +1501,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.workloads.suite import WORKLOAD_TABLE as _WORKLOADS
 
     try:
-        topo_name, topo_params = _resolve_topology(args)
+        topo = _topology(args)
         config = TuneConfig(
             policy=args.policy,
             strategy=args.strategy,
@@ -1641,8 +1518,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             eval_seeds=tuple(args.seed + i for i in range(args.seeds)),
             work_scale=args.scale,
             quick_scale=QUICK_SCALE,
-            topology=topo_name,
-            topology_params=tuple(sorted(topo_params.items())),
+            topology=topo.name,
+            topology_params=topo.params,
             llc=args.llc,
             invariants=args.invariants,
             population=args.population,
@@ -1736,10 +1613,8 @@ def _run_tune(args, campaign, tuner, config) -> int:
     return 0
 
 
-def _cell(
-    by_key: dict, spec, wl_name: str, policy: str, seed: int,
-    invariants: bool = False,
-) -> object:
+def _cell(by_key: dict, spec, wl_name: str, policy: str, seed: int) -> object:
+    """The result of one unparameterised cell of campaign ``spec``."""
     from repro.campaign import SimParams
     from repro.spec import ExperimentSpec
 
@@ -1747,19 +1622,28 @@ def _cell(
         workload(wl_name), policy, seed,
         sim=SimParams(
             work_scale=spec.work_scale,
-            llc=getattr(spec, "llc", None),
-            topology=getattr(spec, "topology", "heterogeneous"),
-            topology_params=getattr(spec, "topology_params", ()),
+            llc=spec.llc,
+            topology=spec.topology,
+            topology_params=spec.topology_params,
         ),
-        invariants=invariants,
+        invariants=spec.invariants,
     )
     return by_key.get(exp.cache_key())
 
 
 def _with_campaign(args: argparse.Namespace, run) -> int:
     """Run a command with its (optional) campaign, closing telemetry after
-    so cache-backed invocations end with the executed/hits summary line."""
-    campaign = _make_campaign(args)
+    so cache-backed invocations end with the executed/hits summary line.
+    Without a cache, workers, invariants or traces the command runs
+    inline (``campaign=None``)."""
+    campaign = None
+    if (
+        args.cache_dir is not None
+        or args.workers > 1
+        or args.invariants
+        or args.trace_out is not None
+    ):
+        campaign = _make_campaign(args)
     try:
         return run(campaign)
     finally:
@@ -1778,10 +1662,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     _resolve_shared_flags(args)
     if args.command == "list":
         return _cmd_list()
-    if args.command == "policies":
-        return _cmd_policies(args)
-    if args.command == "topologies":
-        return _cmd_topologies(args)
+    if args.command in ("policies", "topologies"):
+        return _cmd_registry(args)
     if args.command == "run":
         try:
             _note_pinned_topology(args)

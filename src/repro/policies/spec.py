@@ -1,27 +1,32 @@
-"""Declarative policy specifications.
+"""Declarative component specifications: policies and machines alike.
 
-A :class:`PolicySpec` is the single, complete description of one
-scheduling policy: its canonical name, a one-line doc, a parameter schema
-(:class:`ParamSpec` per tunable, with type/default/bounds), a
-kwargs-accepting factory, and the policy's **invariant contract** — the
-`repro.obs.invariants` rules every run of the policy must satisfy.
+A :class:`ComponentSpec` is the single, complete description of one named,
+parameterised component: its canonical name, a one-line doc, a parameter
+schema (:class:`ParamSpec` per tunable, with type/default/bounds), a
+kwargs-accepting factory, aliases and tags.  Policies and machines are
+its two kinds: :class:`PolicySpec` adds the policy's **invariant
+contract** — the `repro.obs.invariants` rules every run of the policy
+must satisfy — and `repro.topologies.TopologySpec` reports the built
+machine's shape.
 
 Everything downstream derives from the spec: the runner builds schedulers
-through :meth:`PolicySpec.build`, campaign grids validate swept parameters
-through :meth:`PolicySpec.from_params` before they reach a worker process,
-``repro policies`` prints :meth:`PolicySpec.describe`, and
-``InvariantSink.for_policy`` reads :attr:`PolicySpec.invariants`.
+and machines through :meth:`ComponentSpec.build`, campaign grids validate
+swept parameters through :meth:`ComponentSpec.from_params` before they
+reach a worker process, ``repro policies`` / ``repro topologies`` print
+``describe()``, and ``InvariantSink.for_policy`` reads
+:attr:`PolicySpec.invariants`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from functools import partial
+from typing import Any, Callable, ClassVar, Mapping
 
 from repro.schedulers.base import Scheduler
 from repro.util.validation import is_finite_number, require
 
-__all__ = ["ParamSpec", "PolicySpec", "PolicyFactory"]
+__all__ = ["ParamSpec", "ComponentSpec", "PolicySpec", "PolicyFactory"]
 
 #: A zero-arg callable producing a fresh, unprepared scheduler.
 PolicyFactory = Callable[[], Scheduler]
@@ -29,7 +34,7 @@ PolicyFactory = Callable[[], Scheduler]
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """Schema of one policy parameter.
+    """Schema of one component parameter.
 
     ``minimum``/``maximum`` are inclusive bounds (``exclusive_min=True``
     turns the lower bound strict, for positive-only floats); ``choices``
@@ -133,27 +138,31 @@ class ParamSpec:
 
 
 @dataclass(frozen=True)
-class PolicySpec:
-    """Complete declarative description of one scheduling policy."""
+class ComponentSpec:
+    """Complete declarative description of one named, parameterised
+    component; subclasses name its ``kind`` and add what only they have."""
 
-    #: Canonical policy name (the ``--policy`` / cache-key identifier).
+    #: The word for this kind of component in messages ("policy").
+    kind: ClassVar[str] = "component"
+
+    #: Canonical name (the ``--policy`` / ``--topology`` and cache-key
+    #: identifier).
     name: str
     #: One-line human description.
     doc: str
     #: Kwargs-accepting factory; keyword names follow :attr:`params`.
-    factory: Callable[..., Scheduler]
+    factory: Callable[..., Any]
     #: Parameter schema, in display order.
     params: tuple[ParamSpec, ...] = ()
-    #: The `repro.obs.invariants` rule names every run must satisfy.
-    invariants: tuple[str, ...] = ()
     #: Alternative names resolving to this spec (e.g. a scheduler's
     #: internal ``Scheduler.name`` when it differs from the policy name).
     aliases: tuple[str, ...] = ()
-    #: Free-form labels; ``"standard"`` marks the five paper policies.
+    #: Free-form labels: ``"standard"`` marks the five paper policies,
+    #: ``"paper"`` the published testbed, ``"scale"`` the large machines.
     tags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        require(bool(self.name), "policy name must be non-empty")
+        require(bool(self.name), f"{self.kind} name must be non-empty")
         seen = set()
         for p in self.params:
             require(p.name not in seen, f"duplicate parameter {p.name!r}")
@@ -181,8 +190,8 @@ class PolicySpec:
         unknown = sorted(set(params) - set(schema))
         if unknown:
             raise ValueError(
-                f"unknown parameter(s) {unknown} for policy {self.name!r}; "
-                f"known: {sorted(schema)}"
+                f"unknown parameter(s) {unknown} for {self.kind} "
+                f"{self.name!r}; known: {sorted(schema)}"
             )
         return {k: schema[k].validate(v) for k, v in params.items()}
 
@@ -191,35 +200,41 @@ class PolicySpec:
 
     # ------------------------------------------------------------ building
 
-    def from_params(self, params: Mapping[str, Any] | None = None) -> PolicyFactory:
+    def from_params(self, params: Mapping[str, Any] | None = None) -> Callable[[], Any]:
         """A validated zero-arg factory with ``params`` bound.
 
         This is what campaign workers and the runner hold: validation
         happens *here*, once, in the planning process — the returned
         factory cannot fail on bad parameters later in a worker.
         """
-        validated = self.validate_params(params or {})
+        return partial(self.factory, **self.validate_params(params or {}))
 
-        def build() -> Scheduler:
-            return self.factory(**validated)
-
-        build.policy_name = self.name  # type: ignore[attr-defined]
-        build.policy_params = dict(validated)  # type: ignore[attr-defined]
-        return build
-
-    def build(self, params: Mapping[str, Any] | None = None) -> Scheduler:
-        """Build a fresh scheduler instance (validates ``params``)."""
+    def build(self, params: Mapping[str, Any] | None = None) -> Any:
+        """Build a fresh instance (validates ``params``)."""
         return self.from_params(params)()
 
     # ---------------------------------------------------------- description
 
     def describe(self) -> dict[str, Any]:
-        """JSON-ready summary (the ``repro policies`` payload)."""
+        """JSON-ready summary (the ``repro policies`` / ``repro
+        topologies`` payload); subclasses add their own fields."""
         return {
             "name": self.name,
             "doc": self.doc,
             "aliases": list(self.aliases),
             "tags": list(self.tags),
-            "invariants": list(self.invariants),
             "params": [p.describe() for p in self.params],
         }
+
+
+@dataclass(frozen=True)
+class PolicySpec(ComponentSpec):
+    """Complete declarative description of one scheduling policy."""
+
+    kind: ClassVar[str] = "policy"
+
+    #: The `repro.obs.invariants` rule names every run must satisfy.
+    invariants: tuple[str, ...] = ()
+
+    def describe(self) -> dict[str, Any]:
+        return {**super().describe(), "invariants": list(self.invariants)}

@@ -22,26 +22,28 @@ The campaign cache key hashes a different, older layout that
 `repro.campaign.cachekey` alone builds, so historical object stores
 stay warm.
 
-`PolicyRef` / `TopologyRef` also own the CLI grammar
-(``name[:key=value,...]``) via :meth:`PolicyRef.from_arg` — the same
-parser the ``--policy`` and ``--topology`` flags use.
+`PolicyRef` / `TopologyRef` are the two kinds of :class:`ComponentRef`,
+which also owns the CLI grammar (``name[:key=value,...]``) via
+:meth:`ComponentRef.from_arg` — the same parser the ``--policy`` and
+``--topology`` flags use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, ClassVar, Iterable, Mapping, TypeVar
 
 from repro.campaign.spec import SimParams, WorkloadRef
-from repro.policies import REGISTRY, PolicySpec
+from repro.policies import REGISTRY, ComponentRegistry, ComponentSpec
 from repro.sim.migration import MigrationModel
-from repro.topologies import TOPOLOGY_REGISTRY, TopologySpec, parse_topology_arg
+from repro.topologies import TOPOLOGY_REGISTRY, parse_topology_arg
 from repro.util.rng import DEFAULT_SEED
 from repro.util.validation import is_finite_number, require
 from repro.workloads.suite import WorkloadSpec
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",
+    "ComponentRef",
     "PolicyRef",
     "TopologyRef",
     "ExperimentSpec",
@@ -60,54 +62,60 @@ def _sorted_params(params: Mapping[str, Any] | Iterable[tuple[str, Any]] | None)
     return tuple(sorted(items))
 
 
-@dataclass(frozen=True)
-class PolicyRef:
-    """A policy by registry name plus a validated parameterisation.
+_R = TypeVar("_R", bound="ComponentRef")
 
-    Parameters are validated against the policy's declarative
-    `ParamSpec` schema at construction (unknown names raise
-    ``UnknownPolicyError``, out-of-bounds values ``ValueError``) but
-    stored **raw** — the campaign cache key hashes exactly the supplied
-    values, never a coerced form.
+
+@dataclass(frozen=True)
+class ComponentRef:
+    """A component by registry name plus a validated parameterisation.
+
+    Parameters are validated against the component's declarative
+    `ParamSpec` schema at construction (unknown names raise the
+    registry's ``UnknownComponentError``, out-of-bounds values
+    ``ValueError``) but stored **raw** — the campaign cache key hashes
+    exactly the supplied values, never a coerced form.  Subclasses name
+    their :attr:`registry`.
     """
+
+    registry: ClassVar[ComponentRegistry]
 
     name: str
     params: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        spec = REGISTRY.get(self.name)
-        spec.validate_params(dict(self.params))
+        self.spec.validate_params(dict(self.params))
         object.__setattr__(self, "params", _sorted_params(self.params))
 
     @classmethod
-    def of(cls, name: str, params: Mapping[str, Any] | None = None) -> "PolicyRef":
+    def of(cls: type[_R], name: str, params: Mapping[str, Any] | None = None) -> _R:
         return cls(name=name, params=_sorted_params(params))
 
     @classmethod
-    def from_arg(cls, arg: str) -> "PolicyRef":
+    def from_arg(cls: type[_R], arg: str) -> _R:
         """Parse the CLI grammar ``name[:key=value,...]``."""
         name, params = parse_topology_arg(arg)
         return cls.of(name, params)
 
     @property
-    def spec(self) -> PolicySpec:
-        return REGISTRY.get(self.name)
+    def spec(self) -> ComponentSpec:
+        return self.registry.get(self.name)
 
     def build(self):
-        """Instantiate the (stateful) scheduler this ref describes."""
-        return REGISTRY.build(self.name, dict(self.params))
+        """Instantiate the component this ref describes (a fresh,
+        stateful scheduler for a policy)."""
+        return self.registry.build(self.name, dict(self.params))
 
-    def with_params(self, **overrides: Any) -> "PolicyRef":
+    def with_params(self: _R, **overrides: Any) -> _R:
         """A new ref with ``overrides`` merged over the current params."""
         merged = dict(self.params)
         merged.update(overrides)
-        return PolicyRef.of(self.name, merged)
+        return type(self).of(self.name, merged)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "params": [[k, v] for k, v in self.params]}
 
     @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "PolicyRef":
+    def from_dict(cls: type[_R], d: Mapping[str, Any]) -> _R:
         return cls.of(d["name"], {k: v for k, v in d.get("params", ())})
 
     def describe(self) -> str:
@@ -118,52 +126,20 @@ class PolicyRef:
 
 
 @dataclass(frozen=True)
-class TopologyRef:
-    """A machine by topology-registry name plus a validated
-    parameterisation (same contract as :class:`PolicyRef`)."""
+class PolicyRef(ComponentRef):
+    """A policy by `repro.policies.REGISTRY` name plus its parameters."""
+
+    registry: ClassVar[ComponentRegistry] = REGISTRY
+
+
+@dataclass(frozen=True)
+class TopologyRef(ComponentRef):
+    """A machine by `repro.topologies.TOPOLOGY_REGISTRY` name plus its
+    parameters; the paper's ``heterogeneous`` machine by default."""
+
+    registry: ClassVar[ComponentRegistry] = TOPOLOGY_REGISTRY
 
     name: str = "heterogeneous"
-    params: tuple[tuple[str, Any], ...] = ()
-
-    def __post_init__(self) -> None:
-        spec = TOPOLOGY_REGISTRY.get(self.name)
-        spec.validate_params(dict(self.params))
-        object.__setattr__(self, "params", _sorted_params(self.params))
-
-    @classmethod
-    def of(cls, name: str, params: Mapping[str, Any] | None = None) -> "TopologyRef":
-        return cls(name=name, params=_sorted_params(params))
-
-    @classmethod
-    def from_arg(cls, arg: str) -> "TopologyRef":
-        """Parse the CLI grammar ``name[:key=value,...]``."""
-        name, params = parse_topology_arg(arg)
-        return cls.of(name, params)
-
-    @property
-    def spec(self) -> TopologySpec:
-        return TOPOLOGY_REGISTRY.get(self.name)
-
-    def build(self):
-        return TOPOLOGY_REGISTRY.build(self.name, dict(self.params))
-
-    def with_params(self, **overrides: Any) -> "TopologyRef":
-        merged = dict(self.params)
-        merged.update(overrides)
-        return TopologyRef.of(self.name, merged)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": [[k, v] for k, v in self.params]}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "TopologyRef":
-        return cls.of(d["name"], {k: v for k, v in d.get("params", ())})
-
-    def describe(self) -> str:
-        if not self.params:
-            return self.name
-        inner = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.name}:{inner}"
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,17 @@
 """Declarative topology specifications and the topology registry.
 
-A :class:`TopologySpec` mirrors :class:`repro.policies.PolicySpec` for
-machines instead of schedulers: canonical name, one-line doc, a
-:class:`~repro.policies.spec.ParamSpec` schema with bounds, a
-kwargs-accepting factory returning a :class:`~repro.sim.topology.Topology`,
-and aliases.  The shared :data:`TOPOLOGY_REGISTRY` instance is the single
+Machines are the second kind of named, parameterised component beside
+policies: a :class:`TopologySpec` is a
+:class:`~repro.policies.spec.ComponentSpec` whose factory returns a
+:class:`~repro.sim.topology.Topology`, and :data:`TOPOLOGY_REGISTRY` is a
+:class:`~repro.policies.registry.ComponentRegistry`, the single
 resolution point for every topology name in the repo — ``--topology`` on
-the run/trace/campaign/traffic/bench verbs, campaign cache keys, and
-the large-machine presets the hierarchical policies target.
+the run/trace/campaign/traffic/bench verbs, campaign cache keys, and the
+large-machine presets the hierarchical policies target.
 
 The classic keyword factories (:func:`~repro.sim.topology.xeon_e5_heterogeneous`,
 :func:`~repro.sim.topology.homogeneous`) remain public and are what the
-registry entries call; only the *name table* moved here.  Unknown names
+registry entries call; only the *name table* lives here.  Unknown names
 raise :class:`UnknownTopologyError` (a ``ValueError``) listing the known
 names, so a typo'd ``--topology`` fails loudly at planning time.
 """
@@ -19,9 +19,10 @@ names, so a typo'd ``--topology`` fails loudly at planning time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, ClassVar
 
-from repro.policies.spec import ParamSpec
+from repro.policies.registry import ComponentRegistry, UnknownComponentError
+from repro.policies.spec import ComponentSpec, ParamSpec
 from repro.sim.topology import (
     Topology,
     homogeneous,
@@ -32,190 +33,34 @@ from repro.util.validation import require
 
 __all__ = [
     "TopologySpec",
-    "TopologyRegistry",
-    "TopologyFactory",
     "UnknownTopologyError",
     "TOPOLOGY_REGISTRY",
     "parse_param_value",
     "parse_topology_arg",
 ]
 
-#: A zero-arg callable producing a fresh topology.
-TopologyFactory = Callable[[], Topology]
 
+class UnknownTopologyError(UnknownComponentError):
+    """Raised when a topology name resolves to nothing."""
 
-class UnknownTopologyError(ValueError):
-    """Raised when a topology name resolves to nothing.
-
-    Subclasses ``ValueError`` so call sites that catch bad user input
-    (CLI exit-code mapping, campaign validation) keep working.
-    """
-
-    def __init__(self, name: str, known: tuple[str, ...]) -> None:
-        self.name = name
-        self.known = known
-        super().__init__(
-            f"unknown topology {name!r}; known topologies: {', '.join(known)}"
-        )
+    kind = "topology"
+    plural = "topologies"
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(ComponentSpec):
     """Complete declarative description of one machine preset."""
 
-    #: Canonical topology name (the ``--topology`` / cache-key identifier).
-    name: str
-    #: One-line human description.
-    doc: str
-    #: Kwargs-accepting factory; keyword names follow :attr:`params`.
-    factory: Callable[..., Topology]
-    #: Parameter schema, in display order.
-    params: tuple[ParamSpec, ...] = ()
-    #: Alternative names resolving to this spec (e.g. the classic factory
-    #: function's name when it differs from the registry name).
-    aliases: tuple[str, ...] = ()
-    #: Free-form labels; ``"paper"`` marks the published testbed,
-    #: ``"scale"`` the large hierarchical-scheduling presets.
-    tags: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        require(bool(self.name), "topology name must be non-empty")
-        seen = set()
-        for p in self.params:
-            require(p.name not in seen, f"duplicate parameter {p.name!r}")
-            seen.add(p.name)
-
-    # ------------------------------------------------------------- params
-
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
-    def param(self, name: str) -> ParamSpec:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
-    def validate_params(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """Check ``params`` against the schema; return them as a dict.
-
-        Values are checked, never coerced — campaign cache keys hash the
-        caller's raw values, so validation must not rewrite them.
-        Unknown keys and out-of-bounds values raise ``ValueError``.
-        """
-        schema = {p.name: p for p in self.params}
-        unknown = sorted(set(params) - set(schema))
-        if unknown:
-            raise ValueError(
-                f"unknown parameter(s) {unknown} for topology {self.name!r}; "
-                f"known: {sorted(schema)}"
-            )
-        return {k: schema[k].validate(v) for k, v in params.items()}
-
-    def defaults(self) -> dict[str, Any]:
-        return {p.name: p.default for p in self.params}
-
-    # ------------------------------------------------------------ building
-
-    def from_params(self, params: Mapping[str, Any] | None = None) -> TopologyFactory:
-        """A validated zero-arg factory with ``params`` bound.
-
-        Validation happens *here*, once, in the planning process — the
-        returned factory cannot fail on bad parameters later in a worker.
-        """
-        validated = self.validate_params(params or {})
-
-        def build() -> Topology:
-            return self.factory(**validated)
-
-        build.topology_name = self.name  # type: ignore[attr-defined]
-        build.topology_params = dict(validated)  # type: ignore[attr-defined]
-        return build
-
-    def build(self, params: Mapping[str, Any] | None = None) -> Topology:
-        """Build a fresh topology instance (validates ``params``)."""
-        return self.from_params(params)()
-
-    # ---------------------------------------------------------- description
+    kind: ClassVar[str] = "topology"
 
     def describe(self) -> dict[str, Any]:
-        """JSON-ready summary (the ``repro topologies`` payload)."""
         built = self.build()
         return {
-            "name": self.name,
-            "doc": self.doc,
-            "aliases": list(self.aliases),
-            "tags": list(self.tags),
+            **super().describe(),
             "n_sockets": built.n_sockets,
             "n_vcores": built.n_vcores,
             "heterogeneous": built.is_heterogeneous,
-            "params": [p.describe() for p in self.params],
         }
-
-
-class TopologyRegistry:
-    """Ordered mapping of topology name -> :class:`TopologySpec`."""
-
-    def __init__(self) -> None:
-        self._specs: dict[str, TopologySpec] = {}
-        self._aliases: dict[str, str] = {}
-
-    # ---------------------------------------------------------- registration
-
-    def register(self, spec: TopologySpec) -> TopologySpec:
-        """Add ``spec``; names and aliases must be globally unique."""
-        for name in (spec.name, *spec.aliases):
-            require(
-                name not in self._specs and name not in self._aliases,
-                f"topology name {name!r} already registered",
-            )
-        self._specs[spec.name] = spec
-        for alias in spec.aliases:
-            self._aliases[alias] = spec.name
-        return spec
-
-    # -------------------------------------------------------------- lookup
-
-    def get(self, name: str) -> TopologySpec:
-        """Resolve ``name`` (canonical or alias) or raise
-        :class:`UnknownTopologyError`."""
-        canonical = self._aliases.get(name, name)
-        spec = self._specs.get(canonical)
-        if spec is None:
-            raise UnknownTopologyError(name, self.names())
-        return spec
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs or name in self._aliases
-
-    def __iter__(self) -> Iterator[TopologySpec]:
-        return iter(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def names(self) -> tuple[str, ...]:
-        """Canonical topology names, in registration order."""
-        return tuple(self._specs)
-
-    def specs(self) -> tuple[TopologySpec, ...]:
-        return tuple(self._specs.values())
-
-    def tagged(self, tag: str) -> tuple[TopologySpec, ...]:
-        """Specs carrying ``tag``, in registration order."""
-        return tuple(s for s in self._specs.values() if tag in s.tags)
-
-    # ------------------------------------------------------------- building
-
-    def build(self, name: str, params: Mapping[str, Any] | None = None) -> Topology:
-        """Resolve ``name`` and build a topology with ``params``."""
-        return self.get(name).build(params)
-
-    def factory(
-        self, name: str, params: Mapping[str, Any] | None = None
-    ) -> TopologyFactory:
-        """Resolve ``name`` to a validated zero-arg factory."""
-        return self.get(name).from_params(params)
 
 
 # --------------------------------------------------------------------------
@@ -247,10 +92,11 @@ def parse_topology_arg(arg: str) -> tuple[str, dict[str, Any]]:
     """Parse ``name[:param=value,...]`` into ``(name, params)``.
 
     Values are parsed by :func:`parse_param_value` (int -> float -> bool
-    -> str), as campaign ``--param`` cells are.  Validation against the
-    spec's schema is the caller's job (via
-    :meth:`TopologySpec.from_params`), so errors carry the parameter's
-    name and legal range.
+    -> str), as campaign ``--param`` cells are.  A key given twice
+    raises ``ValueError`` naming it.  Validation against the spec's
+    schema is the caller's job (via
+    :meth:`~repro.policies.spec.ComponentSpec.from_params`), so errors
+    carry the parameter's name and legal range.
     """
     name, sep, rest = arg.partition(":")
     name = name.strip()
@@ -265,6 +111,10 @@ def parse_topology_arg(arg: str) -> tuple[str, dict[str, Any]]:
                 f"malformed parameter {item!r} in {arg!r} "
                 "(expected key=value)",
             )
+            require(
+                key not in params,
+                f"parameter {key!r} given more than once in {arg!r}",
+            )
             params[key] = parse_param_value(raw)
     return name, params
 
@@ -272,7 +122,9 @@ def parse_topology_arg(arg: str) -> tuple[str, dict[str, Any]]:
 # --------------------------------------------------------------------------
 # Built-in presets
 
-TOPOLOGY_REGISTRY = TopologyRegistry()
+TOPOLOGY_REGISTRY: ComponentRegistry[TopologySpec] = ComponentRegistry(
+    UnknownTopologyError
+)
 
 
 def _ghz(name: str, default: float, doc: str) -> ParamSpec:

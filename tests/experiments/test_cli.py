@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import _parse_param_grid, build_parser, main
 from repro.topologies import parse_topology_arg
@@ -233,34 +236,235 @@ class TestTraceDiffCommand:
         assert capsys.readouterr().err
 
 
-class TestPoliciesVerb:
-    def test_table_lists_every_policy(self, capsys):
-        from repro.policies import REGISTRY
+class _RegistryVerb:
+    """The cases of a registry-listing verb; ``repro policies`` and
+    ``repro topologies`` share one listing and one ``--check`` body, and
+    each subclass runs every case over one of them."""
 
-        assert main(["policies"]) == 0
+    verb: str
+    #: dotted path of the verb's registry (monkeypatched by the check cases)
+    registry_path: str
+    #: a tag, the names carrying it in registration order, a name without it
+    tag: str
+    tagged: tuple[str, ...]
+    other: str
+
+    @property
+    def registry(self):
+        import importlib
+
+        module, _, attr = self.registry_path.rpartition(".")
+        return getattr(importlib.import_module(module), attr)
+
+    def test_table_lists_every_spec(self, capsys):
+        assert main([self.verb]) == 0
         out = capsys.readouterr().out
-        for name in REGISTRY.names():
+        registry = self.registry
+        assert f"{len(registry)} registered {registry.error.plural}" in out
+        for name in registry.names():
             assert name in out
 
     def test_tag_filters_table_and_names(self, capsys):
-        assert main(["policies", "--tag", "cache-aware"]) == 0
+        assert main([self.verb, "--tag", self.tag]) == 0
         out = capsys.readouterr().out
-        assert "lfoc" in out and "bliss" in out
-        assert "tagged 'cache-aware'" in out
-        assert "\ncfs " not in out
+        assert all(name in out for name in self.tagged)
+        assert f"tagged {self.tag!r}" in out
+        assert f"\n{self.other} " not in out
 
-        assert main(["policies", "--names", "--tag", "cache-aware"]) == 0
-        names = capsys.readouterr().out.split()
-        assert sorted(names) == ["bliss", "lfoc"]
+        assert main([self.verb, "--names", "--tag", self.tag]) == 0
+        assert tuple(capsys.readouterr().out.split()) == self.tagged
 
     def test_tag_filters_json(self, capsys):
-        assert main(["policies", "--json", "--tag", "cache-aware"]) == 0
+        assert main([self.verb, "--json", "--tag", self.tag]) == 0
         specs = json.loads(capsys.readouterr().out)
-        assert {s["name"] for s in specs} == {"bliss", "lfoc"}
+        assert tuple(s["name"] for s in specs) == self.tagged
         for s in specs:
-            assert "cache-aware" in s["tags"]
+            assert self.tag in s["tags"]
 
     def test_unknown_tag_exits_two_listing_known(self, capsys):
-        assert main(["policies", "--tag", "nope"]) == 2
+        assert main([self.verb, "--tag", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"no {self.registry.error.kind} carries tag 'nope'" in captured.err
+        assert self.tag in captured.err
+
+    def test_check_passes(self, capsys):
+        registry = self.registry
+        assert main([self.verb, "--check"]) == 0
+        captured = capsys.readouterr()
+        n_params = sum(len(s.params) for s in registry)
+        assert captured.out == (
+            f"{registry.error.kind} registry OK ({len(registry)} "
+            f"{registry.error.plural}, {n_params} parameters checked)\n"
+        )
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("fault", ["factory", "alias", "defaults"])
+    def test_check_fails_on_a_broken_spec(self, fault, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from repro.policies import ComponentRegistry, ParamSpec
+
+        registry = self.registry
+        broken = ComponentRegistry(registry.error)
+        # The registry's first spec with an alias, and its first without.
+        aliased = next(s for s in registry if s.aliases)
+        plain = next(s for s in registry if not s.aliases)
+        broken.register(aliased)
+        if fault == "factory":
+            def boom(**params):
+                raise RuntimeError("boom")
+
+            broken.register(replace(plain, factory=boom))
+            expected = f"{plain.name}: default factory failed: boom"
+        elif fault == "alias":
+            broken.register(plain)
+            broken._aliases[aliased.aliases[0]] = plain.name
+            expected = (
+                f"{aliased.name}: alias {aliased.aliases[0]!r} resolves to a "
+                "different spec"
+            )
+        else:
+            odd = ParamSpec(plain.params[0].name, int, 3, multiple_of=2)
+            broken.register(replace(plain, params=(odd, *plain.params[1:])))
+            expected = (
+                f"{plain.name}: schema defaults fail their own validation: "
+                f"parameter {odd.name!r} must be a multiple of 2, got 3"
+            )
+        monkeypatch.setattr(self.registry_path, broken)
+        assert main([self.verb, "--check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(f"{registry.error.kind} registry check FAILED (")
+        assert f"  {expected}" in lines[1:]
+
+
+class TestPoliciesVerb(_RegistryVerb):
+    verb = "policies"
+    registry_path = "repro.policies.REGISTRY"
+    tag, tagged, other = "cache-aware", ("lfoc", "bliss"), "cfs"
+
+
+class TestTopologiesVerb(_RegistryVerb):
+    verb = "topologies"
+    registry_path = "repro.topologies.TOPOLOGY_REGISTRY"
+    tag, tagged, other = "paper", ("heterogeneous", "homogeneous"), "scale128"
+
+
+class TestBadInputExitsTwo:
+    """Bad command-line input is a usage error (exit 2), never a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "wl99"],
+            ["compare", "nope"],
+            ["replicate", "wl99"],
+            ["timeline", "wl99", "dike"],
+            ["replicate", "wl1", "--seeds", "0"],
+            ["bench", "--repeats", "0"],
+            ["report", "--seeds", "0", "--scale", "0.001"],
+            ["campaign", "--workers", "0", "--dry-run", "--no-cache"],
+            ["traffic", "--jobs", "-1", "--dry-run", "--no-cache"],
+            ["tune", "--budget", "0", "--no-cache"],
+            ["trace", "wl1", "--max-bytes", "0", "--scale", "0.005"],
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_when_parsed(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "nope" in err and "cache-aware" in err
+        assert "invalid choice" in err or "expected an integer >= 1" in err
+
+    def test_timeline_policies_are_the_registry_names(self):
+        from repro.policies import REGISTRY
+
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        timeline = sub.choices["timeline"]
+        (policy,) = [a for a in timeline._actions if a.dest == "policy"]
+        assert tuple(policy.choices) == REGISTRY.names()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["--policies", "cfs,dike", "--param", "swap_sise=4,8"], "swap_sise"),
+            (["--param", "swap_size=4", "--param", "swap_size=8"], "swap_size"),
+            (
+                ["--policies", "bliss,dike-hier", "--param", "rebalance_period=2",
+                 "--param", "blacklist_quanta=2"],
+                "blacklist_quanta",
+            ),
+        ],
+        ids=["unknown-key", "key-twice", "no-policy-takes-the-grid"],
+    )
+    def test_param_grid_rejects_what_it_would_drop(self, argv, key, capsys):
+        code = main(["campaign", "--dry-run", "--no-cache", "--workloads", "wl1", *argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and repr(key) in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, arg",
+        [
+            ("--policy", "dike:swap_size=4,swap_size=8"),
+            ("--topology", "multi-socket:n_sockets=2,n_sockets=8"),
+        ],
+    )
+    def test_ref_key_given_twice(self, flag, arg, capsys, tmp_path):
+        code = main([
+            "trace", "wl1", "--scale", "0.005", flag, arg,
+            "--out", str(tmp_path / "t.jsonl"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "given more than once" in err
+        assert not (tmp_path / "t.jsonl").exists()
+
+
+class TestGrammarFuzz:
+    """The ``name[:key=value,...]`` and ``KEY=V1[,V2...]`` grammars reject
+    arbitrary text with ``ValueError`` only."""
+
+    @given(st.text(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_refs_raise_only_value_error(self, text):
+        from repro.spec import PolicyRef, TopologyRef
+
+        for ref in (PolicyRef, TopologyRef):
+            for arg in (text, f"dike:{text}", f"scale128:{text}"):
+                try:
+                    ref.from_arg(arg)
+                except ValueError:
+                    pass
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=30),
+                st.builds(
+                    "{}={}".format,
+                    st.sampled_from(["swap_size", "smt", "", " x"]),
+                    st.text(max_size=20),
+                ),
+            ),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_param_grid_raises_only_value_error(self, entries):
+        from repro.campaign import CampaignSpec
+
+        try:
+            grid = _parse_param_grid(entries)
+            CampaignSpec(workloads=("wl1",), policies=("cfs", "dike"), param_grid=grid)
+        except ValueError:
+            pass

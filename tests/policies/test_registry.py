@@ -1,25 +1,34 @@
-"""Tests for the policy registry: resolution, schemas, contracts.
+"""Tests for the component registries: resolution, schemas, contracts.
 
-The registry is the single resolution point for every layer (runner,
-CLI, campaign, benchmarks, invariant checker), so these tests are mostly
-*completeness properties* quantified over every registered spec — a new
-policy registered with a broken schema or contract fails here before it
-fails in a campaign.
+The policy registry is the single resolution point for every layer
+(runner, CLI, campaign, benchmarks, invariant checker), so these tests
+are mostly *completeness properties* quantified over every registered
+spec — a new policy registered with a broken schema or contract fails
+here before it fails in a campaign.  The behaviours the policy and
+topology registries share are tested once, over both
+(:class:`TestBothRegistries`).
 """
 
 from __future__ import annotations
+
+import json
+import re
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs.invariants import RULES, InvariantSink
 from repro.policies import (
     REGISTRY,
+    ComponentRegistry,
     ParamSpec,
     PolicyRegistry,
     PolicySpec,
     UnknownPolicyError,
 )
 from repro.schedulers.base import Scheduler
+from repro.topologies import TOPOLOGY_REGISTRY, UnknownTopologyError
 
 
 class TestRegistryContents:
@@ -35,24 +44,11 @@ class TestRegistryContents:
         names = {s.name for s in REGISTRY.tagged("ablation")}
         assert names == {"dike-no-predictor", "dike-no-decider"}
 
-    def test_aliases_resolve_to_canonical_spec(self):
-        assert REGISTRY.get("oracle-static") is REGISTRY.get("oracle")
-        assert REGISTRY.get("suspend") is REGISTRY.get("suspension")
-
     def test_contains_and_len(self):
         assert "dike" in REGISTRY
         assert "oracle-static" in REGISTRY  # aliases count as known
         assert "no-such-policy" not in REGISTRY
         assert len(REGISTRY) == len(REGISTRY.names())
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(UnknownPolicyError) as exc:
-            REGISTRY.get("no-such-policy")
-        assert exc.value.name == "no-such-policy"
-        assert "dike" in exc.value.known
-        # Existing call sites catch ValueError; the subclass must satisfy
-        # them.
-        assert isinstance(exc.value, ValueError)
 
 
 class TestEverySpec:
@@ -80,7 +76,6 @@ class TestEverySpec:
 
     def test_defaults_pass_own_schema(self, spec):
         factory = spec.from_params(spec.defaults())
-        assert factory.policy_name == spec.name
         assert isinstance(factory(), Scheduler)
 
     def test_for_policy_uses_contract(self, spec):
@@ -95,29 +90,12 @@ class TestEverySpec:
 
 
 class TestFromParams:
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
-            REGISTRY.get("dike").from_params({"no_such_field": 1})
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            REGISTRY.get("dike").from_params({"swap_size": 3})  # odd
-        with pytest.raises(ValueError):
-            REGISTRY.get("dike").from_params({"swap_size": 0})
-        with pytest.raises(ValueError):
-            REGISTRY.get("dike").from_params({"quanta_length_s": 0.0})
-
     def test_params_reach_the_scheduler(self):
         built = REGISTRY.build(
             "dike", {"swap_size": 4, "quanta_length_s": 0.25}
         )
         assert built.config.swap_size == 4
         assert built.config.quanta_length_s == 0.25
-
-    def test_factory_carries_provenance(self):
-        factory = REGISTRY.factory("dike", {"swap_size": 4})
-        assert factory.policy_name == "dike"
-        assert factory.policy_params == {"swap_size": 4}
 
     def test_build_via_alias(self):
         assert REGISTRY.build("suspend").name in ("suspension", "suspend")
@@ -184,27 +162,6 @@ class TestParamSpecValidation:
             strict.validate(None)
 
 
-class TestRegistration:
-    def test_duplicate_name_rejected(self):
-        reg = PolicyRegistry()
-        spec = REGISTRY.get("cfs")
-        reg.register(spec)
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register(spec)
-
-    def test_alias_collision_rejected(self):
-        reg = PolicyRegistry()
-        reg.register(REGISTRY.get("oracle"))  # claims alias oracle-static
-        clashing = PolicySpec(
-            name="oracle-static",
-            doc="clashes with an existing alias",
-            factory=REGISTRY.get("oracle").factory,
-            invariants=("no-third-core",),
-        )
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register(clashing)
-
-
 class TestInvariantSinkResolution:
     def test_unknown_policy_raises_not_fallback(self):
         # The pre-registry behaviour silently fell back to default rules;
@@ -222,3 +179,121 @@ class TestInvariantSinkResolution:
         assert "swap-budget" not in REGISTRY.get("dio").invariants
         sink = InvariantSink.for_policy("dio", swap_size=4)
         assert sink.swap_size is None
+
+
+#: What each registry is tested with: the kind words of its messages, an
+#: alias, a spec with a schema, parameters that schema rejects, and a tag.
+REGISTRIES = {
+    "policies": SimpleNamespace(
+        registry=REGISTRY,
+        error=UnknownPolicyError,
+        kind="policy",
+        plural="policies",
+        empty=PolicyRegistry,
+        alias="oracle-static",
+        canonical="oracle",
+        target="dike",
+        unknown_param="no_such_field",
+        out_of_bounds=(
+            {"swap_size": 3},  # odd
+            {"swap_size": 0},
+            {"quanta_length_s": 0.0},
+        ),
+        tag="cache-aware",
+        tagged=("lfoc", "bliss"),
+    ),
+    "topologies": SimpleNamespace(
+        registry=TOPOLOGY_REGISTRY,
+        error=UnknownTopologyError,
+        kind="topology",
+        plural="topologies",
+        empty=lambda: ComponentRegistry(UnknownTopologyError),
+        alias="xeon_e5_heterogeneous",
+        canonical="heterogeneous",
+        target="scale128",
+        unknown_param="n_socketz",
+        out_of_bounds=({"smt": 3}, {"cores_per_socket": 0}),
+        tag="paper",
+        tagged=("heterogeneous", "homogeneous"),
+    ),
+}
+
+
+class TestBothRegistries:
+    """The behaviours the policy and topology registries share: both are
+    :class:`ComponentRegistry` instances over `ComponentSpec` kinds."""
+
+    @pytest.fixture(params=sorted(REGISTRIES))
+    def case(self, request) -> SimpleNamespace:
+        return REGISTRIES[request.param]
+
+    def test_is_a_component_registry(self, case):
+        assert isinstance(case.registry, ComponentRegistry)
+        assert case.registry.error is case.error
+
+    def test_unknown_name_raises(self, case):
+        assert "martian" not in case.registry
+        with pytest.raises(case.error) as exc:
+            case.registry.get("martian")
+        assert exc.value.name == "martian"
+        assert exc.value.known == case.registry.names()
+        assert str(exc.value) == (
+            f"unknown {case.kind} 'martian'; known {case.plural}: "
+            + ", ".join(case.registry.names())
+        )
+        # Call sites catch ValueError; the subclass must satisfy them.
+        with pytest.raises(ValueError):
+            case.registry.build("martian")
+
+    def test_alias_resolves_to_canonical_spec(self, case):
+        assert case.alias in case.registry
+        assert case.alias not in case.registry.names()
+        assert case.registry.get(case.alias) is case.registry.get(case.canonical)
+
+    def test_duplicate_name_rejected(self, case):
+        registry = case.empty()
+        spec = case.registry.get(case.target)
+        registry.register(spec)
+        message = f"{case.kind} name {case.target!r} already registered"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            registry.register(spec)
+        with pytest.raises(ValueError, match="already registered"):
+            case.registry.register(spec)
+
+    def test_alias_collision_rejected(self, case):
+        registry = case.empty()
+        registry.register(case.registry.get(case.canonical))
+        clashing = replace(
+            case.registry.get(case.canonical), name=case.alias, aliases=()
+        )
+        message = f"{case.kind} name {case.alias!r} already registered"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            registry.register(clashing)
+
+    def test_unknown_parameter_rejected(self, case):
+        spec = case.registry.get(case.target)
+        message = (
+            f"unknown parameter(s) [{case.unknown_param!r}] for {case.kind} "
+            f"{case.target!r}; known: {sorted(spec.param_names())}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec.from_params({case.unknown_param: 4})
+
+    def test_out_of_bounds_rejected(self, case):
+        spec = case.registry.get(case.target)
+        for params in case.out_of_bounds:
+            with pytest.raises(ValueError, match=f"parameter {next(iter(params))!r}"):
+                spec.from_params(params)
+
+    def test_tagged(self, case):
+        tagged = case.registry.tagged(case.tag)
+        assert tuple(s.name for s in tagged) == case.tagged
+        assert tagged == tuple(s for s in case.registry if case.tag in s.tags)
+        assert case.registry.tagged("no-such-tag") == ()
+
+    def test_describe_is_json_clean(self, case):
+        for spec in case.registry:
+            desc = json.loads(json.dumps(spec.describe()))
+            assert desc["name"] == spec.name
+            assert desc["aliases"] == list(spec.aliases)
+            assert [p["name"] for p in desc["params"]] == list(spec.param_names())

@@ -1,17 +1,13 @@
-"""Tests for the topology registry (`repro.topologies`): resolution,
-aliases, the CLI argument grammar, preset shapes, the deprecation shims
-and the `SimParams` cache-key integration."""
+"""Tests for the topology registry (`repro.topologies`): the presets,
+the CLI argument grammar, preset shapes and the `SimParams` cache-key
+integration.  What the topology registry shares with the policy
+registry is tested over both in tests/policies/test_registry.py."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.topologies import (
-    TOPOLOGY_REGISTRY,
-    TopologySpec,
-    UnknownTopologyError,
-    parse_topology_arg,
-)
+from repro.topologies import TOPOLOGY_REGISTRY, parse_topology_arg
 
 
 class TestRegistryResolution:
@@ -22,32 +18,6 @@ class TestRegistryResolution:
             "scale128", "scale256", "scale512", "scale1024",
         ):
             assert expected in names
-
-    def test_alias_resolves_to_same_spec(self):
-        assert (
-            TOPOLOGY_REGISTRY.get("xeon_e5_heterogeneous")
-            is TOPOLOGY_REGISTRY.get("heterogeneous")
-        )
-        assert "xeon_e5_heterogeneous" in TOPOLOGY_REGISTRY
-
-    def test_unknown_name_raises_listing_known(self):
-        with pytest.raises(UnknownTopologyError, match="martian.*heterogeneous"):
-            TOPOLOGY_REGISTRY.get("martian")
-        # UnknownTopologyError is a ValueError, so CLI/campaign handlers
-        # that map bad user input keep working.
-        with pytest.raises(ValueError):
-            TOPOLOGY_REGISTRY.build("martian")
-
-    def test_tagged_lookup(self):
-        scale = [s.name for s in TOPOLOGY_REGISTRY.tagged("scale")]
-        assert "scale1024" in scale and "heterogeneous" not in scale
-        paper = [s.name for s in TOPOLOGY_REGISTRY.tagged("paper")]
-        assert set(paper) == {"heterogeneous", "homogeneous"}
-
-    def test_duplicate_registration_rejected(self):
-        spec = TOPOLOGY_REGISTRY.get("heterogeneous")
-        with pytest.raises(ValueError, match="already registered"):
-            TOPOLOGY_REGISTRY.register(spec)
 
 
 class TestPresetShapes:
@@ -75,32 +45,10 @@ class TestPresetShapes:
         topo = TOPOLOGY_REGISTRY.build("scale128", {"cores_per_socket": 4, "smt": 1})
         assert topo.n_vcores == 4 * 4 * 1
 
-    def test_describe_is_json_ready(self):
-        import json
-
-        for spec in TOPOLOGY_REGISTRY:
-            payload = spec.describe()
-            assert json.dumps(payload)
-            assert payload["n_vcores"] >= 1
-
 
 class TestValidation:
-    def test_unknown_parameter_rejected_at_planning_time(self):
-        spec = TOPOLOGY_REGISTRY.get("scale128")
-        with pytest.raises(ValueError, match="unknown parameter"):
-            spec.from_params({"n_socketz": 4})
-
-    def test_out_of_bounds_rejected(self):
-        spec = TOPOLOGY_REGISTRY.get("heterogeneous")
-        with pytest.raises(ValueError):
-            spec.validate_params({"smt": 3})  # choices are (1, 2, 4)
-        with pytest.raises(ValueError):
-            spec.validate_params({"cores_per_socket": 0})
-
     def test_factory_is_annotated_and_prevalidated(self):
         fac = TOPOLOGY_REGISTRY.factory("scale128", {"smt": 1})
-        assert fac.topology_name == "scale128"
-        assert fac.topology_params == {"smt": 1}
         a, b = fac(), fac()
         assert a is not b and a.n_vcores == b.n_vcores == 64
 
@@ -132,6 +80,13 @@ class TestParseTopologyArg:
         with pytest.raises(ValueError, match="expected key=value"):
             parse_topology_arg("scale128:smt")
 
+    @pytest.mark.parametrize(
+        "arg", ["dike:swap_size=4,swap_size=8", "multi-socket:n_sockets=2, n_sockets=8"]
+    )
+    def test_key_given_twice_rejected(self, arg):
+        with pytest.raises(ValueError, match="parameter '(swap_size|n_sockets)' given more than once"):
+            parse_topology_arg(arg)
+
 
 class TestFacade:
     def test_top_level_exports(self):
@@ -139,7 +94,7 @@ class TestFacade:
 
         assert repro.TOPOLOGY_REGISTRY is TOPOLOGY_REGISTRY
         for name in (
-            "TopologyRegistry", "TopologySpec", "UnknownTopologyError",
+            "ComponentRegistry", "TopologySpec", "UnknownTopologyError",
             "parse_topology_arg", "multi_socket", "Topology",
             "run_scenario", "PolicyRegistry",
         ):
