@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.campaign.spec import execute_task
 from repro.campaign.telemetry import Telemetry
 from repro.obs.attach import run_info_telemetry
+from repro.util.validation import is_finite_number, require
 
 if TYPE_CHECKING:
     from repro.spec import ExperimentSpec
@@ -57,7 +58,9 @@ class ExecutorConfig:
 
     ``retries`` counts *extra* attempts after the first (2 ⇒ up to three
     tries per task); ``timeout_s=None`` disables per-task timeouts (the
-    simulator's ``max_time_s`` still bounds every run).
+    simulator's ``max_time_s`` still bounds every run).  A config no
+    executor could run (no worker, negative retries, a timeout that is
+    not a finite number > 0) is rejected with ``ValueError``.
     """
 
     max_workers: int = 1
@@ -70,6 +73,14 @@ class ExecutorConfig:
     #: failed by suspect probing (1 group death + retries+1 singleton
     #: deaths) instead of dragging everyone to the serial path.
     max_pool_rebuilds: int = 5
+
+    def __post_init__(self) -> None:
+        require(self.max_workers >= 1, f"max_workers must be >= 1, got {self.max_workers}")
+        require(self.retries >= 0, f"retries must be >= 0, got {self.retries}")
+        require(
+            self.timeout_s is None or (is_finite_number(self.timeout_s) and self.timeout_s > 0),
+            f"timeout_s must be a finite number > 0 or None, got {self.timeout_s}",
+        )
 
     @property
     def parallel(self) -> bool:

@@ -95,6 +95,7 @@ from repro.metrics.performance import speedup
 from repro.util.rng import DEFAULT_SEED
 from repro.util.stats import left_sum
 from repro.util.tables import format_table
+from repro.util.validation import is_finite_number
 from repro.workloads.suite import WORKLOAD_TABLE, workload
 
 __all__ = ["main", "build_parser"]
@@ -108,14 +109,30 @@ DEFAULT_CACHE_DIR = ".campaign"
 QUICK_SCALE = 0.05
 
 
-def _count(raw: str) -> int:
-    """argparse type of a count flag: an int >= 1."""
+def _count(raw: str, least: int = 1) -> int:
+    """argparse type of a count flag: an int >= ``least``."""
     try:
         value = int(raw)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {raw!r}")
+    return value
+
+
+def _retries(raw: str) -> int:
+    """argparse type of ``--retries``: an int >= 0."""
+    return _count(raw, least=0)
+
+
+def _seconds(raw: str) -> float:
+    """argparse type of a duration flag: a finite number > 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = 0.0
+    if not (is_finite_number(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {raw!r}")
     return value
 
 
@@ -179,11 +196,11 @@ def _campaign_run_parent(dry_run: bool) -> argparse.ArgumentParser:
         help="skip the on-disk result cache (still dedups in memory)",
     )
     g.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=_seconds, default=None,
         help="per-task timeout in seconds (default: none)",
     )
     g.add_argument(
-        "--retries", type=int, default=2,
+        "--retries", type=_retries, default=2,
         help="extra attempts per failing task (default: 2)",
     )
     g.add_argument(

@@ -33,14 +33,16 @@ singletons (see `repro.schedulers.pipeline`).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import DikeConfig
 from repro.core.dike import DIKE_STAGES, DikeScheduler, SelectorStage
 from repro.core.observer import ObserverReport
 from repro.core.selector import Selector, ThreadPair
 from repro.obs.events import NULL_BUS, CacheClusterFormed
-from repro.schedulers.base import SchedulingContext
+from repro.schedulers.base import Placement, SchedulingContext
 from repro.schedulers.pipeline import Stage, StageState
-from repro.util.stats import left_sum
+from repro.util.stats import left_sums
 from repro.util.validation import require
 
 __all__ = [
@@ -64,27 +66,30 @@ class CacheClusterer:
         self.bus = NULL_BUS
 
     def partition(
-        self, report: ObserverReport, placement: dict[int, int]
-    ) -> list[list[int]]:
-        """Contiguous slices of the sorted-by-access-rate live threads.
+        self, report: ObserverReport, placement: Placement
+    ) -> list[np.ndarray]:
+        """Contiguous slices of the sorted-by-access-rate live threads
+        the report measured, as rows of the placement's columns.
 
         At most ``n_clusters`` clusters, each with >= 2 members where
         the population allows (a 1-thread cluster can never pair).
         Deterministic: ties break by tid, split points by position.
         """
-        tids = [t for t in placement if t in report.access_rate]
-        tids.sort(key=lambda t: (report.access_rate[t], t))
-        n = len(tids)
+        tids = placement.tids
+        slots = report.tid_slots(tids)
+        measured = report.present_by_tid[slots]
+        n = np.count_nonzero(measured)
         if n < 2:
             return []
+        rows = np.lexsort((tids, report.rate_by_tid[slots], ~measured))[:n]
         k = max(1, min(self.n_clusters, n // 2))
         bounds = [round(i * n / k) for i in range(k + 1)]
-        return [tids[bounds[i]:bounds[i + 1]] for i in range(k)]
+        return [rows[bounds[i]:bounds[i + 1]] for i in range(k)]
 
     def select(
         self,
         report: ObserverReport,
-        placement: dict[int, int],
+        placement: Placement,
         selector: Selector,
         config: DikeConfig,
     ) -> list[ThreadPair]:
@@ -96,22 +101,22 @@ class CacheClusterer:
         if report.is_fair(config.fairness_threshold):
             return []
         clusters = self.partition(report, placement)
+        tids, vcores = placement.tids, placement.vcores
         if self.bus.enabled:
-            for k, tids in enumerate(clusters):
+            for k, rows in enumerate(clusters):
                 self.bus.emit(
                     CacheClusterFormed(
                         *self.bus.now,
                         cluster=k,
                         label=f"cluster-{k}",
-                        tids=tuple(tids),
+                        tids=tuple(tids[rows].tolist()),
                     )
                 )
         pairs: list[ThreadPair] = []
-        for tids in clusters:
+        for rows in clusters:
             if len(pairs) >= config.n_pairs:
                 break
-            sub = {t: placement[t] for t in tids}
-            pairs.extend(selector.select(report, sub))
+            pairs.extend(selector.select(report, tids[rows], vcores[rows]))
         return pairs[: config.n_pairs]
 
 
@@ -139,7 +144,7 @@ class Blacklister:
     def select(
         self,
         report: ObserverReport,
-        placement: dict[int, int],
+        placement: Placement,
         selector: Selector,
     ) -> list[ThreadPair]:
         """Refresh the blacklist, then select among non-banned threads."""
@@ -151,18 +156,16 @@ class Blacklister:
                 del self._banned[tid]
             else:
                 self._banned[tid] = left
-        rates = {
-            t: report.access_rate[t]
-            for t in placement
-            if t in report.access_rate
-        }
-        if rates:
-            mean = left_sum(rates.values()) / len(rates)
+        tids, vcores = placement.tids, placement.vcores
+        slots = report.tid_slots(tids)
+        measured = report.present_by_tid[slots]
+        if np.count_nonzero(measured):
+            rates = report.rate_by_tid[slots[measured]]
+            mean = left_sums(rates).item() / rates.size
             if mean > 0.0:
                 cut = self.interference_threshold * mean
-                for tid, rate in rates.items():
-                    if rate > cut:
-                        self._banned[tid] = self.blacklist_quanta
+                for tid in tids[measured][rates > cut].tolist():
+                    self._banned[tid] = self.blacklist_quanta
         if self._banned and self.bus.enabled:
             self.bus.emit(
                 CacheClusterFormed(
@@ -172,10 +175,10 @@ class Blacklister:
                     tids=tuple(sorted(self._banned)),
                 )
             )
-        allowed = {
-            t: v for t, v in placement.items() if t not in self._banned
-        }
-        return selector.select(report, allowed)
+        if self._banned:
+            allowed = ~np.isin(tids, np.fromiter(self._banned, np.int64))
+            tids, vcores = tids[allowed], vcores[allowed]
+        return selector.select(report, tids, vcores)
 
 
 # --------------------------------------------------------------- stages

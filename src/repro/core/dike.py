@@ -90,8 +90,9 @@ class SelectorStage(Stage):
 
     def run(self, pipeline: "DikeScheduler", state: StageState) -> None:
         with pipeline.stage_timer(self):
-            state.pairs = pipeline.selector.select_columns(
-                state.report, *pipeline.placement_columns(state.placement)
+            placement = state.placement
+            state.pairs = pipeline.selector.select(
+                state.report, placement.tids, placement.vcores
             )
 
 
@@ -249,8 +250,6 @@ class DikeScheduler(StagePipeline):
         self._pending: tuple[np.ndarray, ...] = _NO_PENDING
         #: the prediction log's columns, one array chunk per back-fill
         self._log: tuple[list, ...] = ([], [], [], [], [])
-        #: this decision's placement and its columns (placement_columns)
-        self._placed: tuple | None = None
         #: (quantum_index, swap_size, quanta_length_s) adaptation trajectory
         self._config_history: list[tuple[int, int, float]] = [
             (0, self.config.swap_size, self.config.quanta_length_s)
@@ -268,20 +267,6 @@ class DikeScheduler(StagePipeline):
         # Anchor this decision cycle's events to the quantum whose
         # counters drive it; stages stamp their events from `bus.now`.
         self.bus.at(state.counters.quantum_index, state.counters.time_s)
-        self._placed = None
-
-    def placement_columns(self, placement: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """``placement`` as aligned ``(tids, vcores)`` arrays, built once
-        per decision however many stages ask."""
-        placed = self._placed
-        if placed is None or placed[0] is not placement:
-            n = len(placement)
-            placed = self._placed = (
-                placement,
-                np.fromiter(placement, np.int64, n),
-                np.fromiter(placement.values(), np.int64, n),
-            )
-        return placed[1], placed[2]
 
     def end_quantum(self, state: StageState) -> None:
         # Register next-quantum predictions for every live thread — the
@@ -292,7 +277,7 @@ class DikeScheduler(StagePipeline):
         # thread's own demand (a compute thread will not consume a fast
         # core's entire memory bandwidth no matter where it lands).
         counters, report, placement = state.counters, state.report, state.placement
-        tids, _ = self.placement_columns(placement)
+        tids = placement.tids
         rates = report.rate_by_tid[report.tid_slots(tids)]
         measured = rates > 0.0
         self._pend(tids[measured], rates[measured], counters)

@@ -49,7 +49,7 @@ from repro.core.observer import ObserverReport
 from repro.core.predictor import PairPrediction
 from repro.core.selector import ThreadPair
 from repro.obs.events import NULL_BUS, ClusterAssigned, RebalanceExecuted
-from repro.schedulers.base import SchedulingContext
+from repro.schedulers.base import Placement, SchedulingContext
 from repro.schedulers.pipeline import Stage, StageState
 from repro.sim.topology import Topology
 from repro.util.stats import left_sum
@@ -110,21 +110,14 @@ class ClusterPartitioner:
         ]
         self._cluster_of = np.array(self.vcore_cluster, dtype=np.int64)
 
-    def members(self, placement: dict[int, int]) -> list[list[int]]:
-        """Cluster membership of every placed thread, from its vcore."""
-        n = len(placement)
-        return self.members_of(
-            np.fromiter(placement, np.int64, n),
-            np.fromiter(placement.values(), np.int64, n),
-        )
-
-    def members_of(self, tids: np.ndarray, vcores: np.ndarray) -> list[list[int]]:
-        """:meth:`members` of a placement given as aligned arrays: each
-        cluster's tids in placement order."""
-        cluster = self._cluster_of[vcores]
-        grouped = tids[cluster.argsort(kind="stable")].tolist()
+    def members(self, placement: Placement) -> list[np.ndarray]:
+        """Cluster membership of every placed thread, from its vcore:
+        each cluster's rows of the placement's columns, in placement
+        order."""
+        cluster = self._cluster_of[placement.vcores]
+        rows = cluster.argsort(kind="stable")
         ends = np.add.accumulate(np.bincount(cluster, minlength=self.k)).tolist()
-        return [grouped[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        return [rows[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 class InterClusterRebalancer:
@@ -166,7 +159,8 @@ class InterClusterRebalancer:
 
     def rebalance(
         self,
-        members: list[list[int]],
+        members: list[np.ndarray],
+        placement: Placement,
         report: ObserverReport,
         accepted: list[PairPrediction],
         decider: Decider,
@@ -174,26 +168,25 @@ class InterClusterRebalancer:
         quantum_index: int,
         time_s: float,
     ) -> list[PairPrediction]:
-        """At most one cross-cluster exchange, within the leftover budget."""
+        """At most one cross-cluster exchange, within the leftover budget.
+
+        ``members`` holds each cluster's rows of ``placement``, as
+        :meth:`ClusterPartitioner.members` returns them.
+        """
         if quantum_index == 0 or quantum_index % self.period != 0:
             return []
         if len(accepted) >= config.n_pairs:
             return []  # the per-cluster decision already spent the budget
-        rates = report.access_rate
-        claimed = {t for p in accepted for t in (p.pair.t_l, p.pair.t_h)}
-
-        def eligible(tid: int) -> bool:
-            return (
-                tid in rates
-                and tid not in claimed
-                and not decider._in_cooldown(tid, quantum_index, time_s)
-            )
-
-        signals: list[float | None] = [
-            self._signal([rates[t] for t in tids if t in rates])
-            for tids in members
+        # each cluster's threads the report measured, in placement order
+        present = report.present_by_tid
+        measured = [
+            tids[present[report.tid_slots(tids)]]
+            for tids in (placement.tids[rows] for rows in members)
         ]
-        live = [i for i, s in enumerate(signals) if s is not None and members[i]]
+        signals: list[float | None] = [
+            self._signal(report.rate_by_tid[tids].tolist()) for tids in measured
+        ]
+        live = [i for i, s in enumerate(signals) if s is not None]
         if len(live) < 2:
             return []
         hi = max(live, key=lambda i: (signals[i], -i))
@@ -203,22 +196,32 @@ class InterClusterRebalancer:
         scale = left_sum(abs(signals[i]) for i in live) / len(live)
         if signals[hi] - signals[lo] <= self.threshold * max(scale, 1e-12):
             return []
-        donors = [t for t in members[hi] if eligible(t)]
-        recipients = [t for t in members[lo] if eligible(t)]
+        claimed = {t for p in accepted for t in (p.pair.t_l, p.pair.t_h)}
+
+        def eligible(tids: np.ndarray) -> list[int]:
+            cooling = decider._in_cooldown
+            return [
+                t for t in tids.tolist()
+                if t not in claimed and not cooling(t, quantum_index, time_s)
+            ]
+
+        donors, recipients = eligible(measured[hi]), eligible(measured[lo])
         if not donors or not recipients:
             return []
         # Hottest thread of the pressured cluster trades places with the
         # coolest thread of the relaxed one: pressure moves to headroom.
-        t_h = max(donors, key=lambda t: (rates[t], -t))
-        t_l = min(recipients, key=lambda t: (rates[t], t))
+        rate_of = report.rate_of
+        t_h = max(donors, key=lambda t: (rate_of(t), -t))
+        t_l = min(recipients, key=lambda t: (rate_of(t), t))
+        rate_l, rate_h = rate_of(t_l), rate_of(t_h)
         pred = PairPrediction(
             pair=ThreadPair(t_l=t_l, t_h=t_h),
             profit_l=0.0,
             profit_h=0.0,
-            predicted_rate_l=rates[t_l],
-            predicted_rate_h=rates[t_h],
-            current_rate_l=rates[t_l],
-            current_rate_h=rates[t_h],
+            predicted_rate_l=rate_l,
+            predicted_rate_h=rate_h,
+            current_rate_l=rate_l,
+            current_rate_h=rate_h,
         )
         decider._last_swap[t_l] = (quantum_index, time_s)
         decider._last_swap[t_h] = (quantum_index, time_s)
@@ -256,13 +259,12 @@ class ClusterStage(Stage):
             pipeline._cluster_members = None
             return
         with pipeline.stage_timer(self):
-            members = partitioner.members_of(
-                *pipeline.placement_columns(state.placement)
-            )
+            members = partitioner.members(state.placement)
         pipeline._cluster_members = members
         if pipeline.bus.enabled:
-            for idx, tids in enumerate(members):
-                key = tuple(tids)
+            tids = state.placement.tids
+            for idx, rows in enumerate(members):
+                key = tuple(tids[rows].tolist())
                 if pipeline._emitted_members[idx] != key:
                     pipeline._emitted_members[idx] = key
                     pipeline.bus.emit(
@@ -290,17 +292,12 @@ class HierSelectorStage(Stage):
     def run(self, pipeline: "HierarchicalScheduler", state: StageState) -> None:
         with pipeline.stage_timer(self):
             members = pipeline._cluster_members
+            tids, vcores = state.placement.tids, state.placement.vcores
             if members is None:
-                state.pairs = pipeline.selector.select_columns(
-                    state.report, *pipeline.placement_columns(state.placement)
-                )
+                state.pairs = pipeline.selector.select(state.report, tids, vcores)
                 return
-            tids = members[state.counters.quantum_index % len(members)]
-            pairs = pipeline.selector.select_columns(
-                state.report,
-                np.array(tids, dtype=np.int64),
-                np.fromiter(map(state.placement.__getitem__, tids), np.int64, len(tids)),
-            )
+            rows = members[state.counters.quantum_index % len(members)]
+            pairs = pipeline.selector.select(state.report, tids[rows], vcores[rows])
             state.pairs = pairs[: pipeline.config.n_pairs]
 
 
@@ -316,6 +313,7 @@ class InterClusterRebalancerStage(Stage):
         with pipeline.stage_timer(self):
             extra = pipeline.rebalancer.rebalance(
                 members,
+                state.placement,
                 state.report,
                 state.accepted,
                 pipeline.decider,
@@ -382,8 +380,9 @@ class HierarchicalScheduler(DikeScheduler):
             self.rebalance_period, self.rebalance_threshold, self.cluster_signal
         )
         self.rebalancer.bus = context.bus
-        #: per-quantum membership (None while the effective k is 1)
-        self._cluster_members: list[list[int]] | None = None
+        #: per-quantum membership, each cluster's rows of the placement
+        #: (None while the effective k is 1)
+        self._cluster_members: list[np.ndarray] | None = None
         #: last ClusterAssigned payload per cluster (change detection)
         self._emitted_members: list[tuple[int, ...] | None] = [
             None

@@ -19,8 +19,8 @@ profit model one quantum sooner than persistence can.
 
 This is a **stage substitution, not a model fork**: the LMS stage swaps
 the *rate estimates* fed into the unchanged closed-loop Predictor
-(Eqns 1-3) by handing it an `ObserverReport` whose ``access_rate`` map
-carries the one-step-ahead predictions.  Everything downstream — profit
+(Eqns 1-3) by handing it an `ObserverReport` whose ``rate_by_tid``
+column carries the one-step-ahead predictions.  Everything downstream — profit
 arithmetic, ``ProfitEvaluated`` events, the Decider's vetoes, the
 prediction-error bookkeeping — is the paper's machinery verbatim, so the
 full five-rule invariant contract (`repro.obs.invariants.RULES`) holds.
@@ -31,8 +31,6 @@ singletons (see `repro.schedulers.pipeline`).
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -76,9 +74,10 @@ class LMSRatePredictor:
         #: tid -> filter weights, aligned with the history window
         self._weights: dict[int, np.ndarray] = {}
 
-    def update(self, rates: dict[int, float]) -> None:
-        """Fold this quantum's measurements into every thread's filter."""
-        for tid, rate in rates.items():
+    def update(self, tids: list[int], rates: list[float]) -> None:
+        """Fold this quantum's measurements ``rates[i]`` of ``tids[i]``
+        (distinct tids) into every thread's filter."""
+        for tid, rate in zip(tids, rates):
             hist = self._history.setdefault(tid, [])
             if len(hist) == self.taps:
                 x = np.asarray(hist)
@@ -89,12 +88,12 @@ class LMSRatePredictor:
             if len(hist) > self.taps:
                 del hist[0]
 
-    def prune(self, live: dict[int, int]) -> None:
-        """Forget threads that left the system (finished jobs)."""
-        for tid in list(self._history):
-            if tid not in live:
-                del self._history[tid]
-                self._weights.pop(tid, None)
+    def prune(self, live: np.ndarray) -> None:
+        """Forget threads not among the ``live`` tids (finished jobs)."""
+        known = np.fromiter(self._history, np.int64, len(self._history))
+        for tid in known[~np.isin(known, live)].tolist():
+            del self._history[tid]
+            self._weights.pop(tid, None)
 
     def predict(self, tid: int, fallback: float) -> float:
         """One-step-ahead rate for ``tid``; persistence until warmed up."""
@@ -107,13 +106,13 @@ class LMSRatePredictor:
         predicted = float(w @ np.asarray(hist))
         return max(predicted, 0.0)
 
-    def predicted_rates(self, report: ObserverReport) -> dict[int, float]:
-        """The report's ``access_rate`` map with warmed-up threads
-        replaced by their filter predictions."""
-        return {
-            tid: self.predict(tid, rate)
-            for tid, rate in report.access_rate.items()
-        }
+    def predicted_rates(self, report: ObserverReport) -> ObserverReport:
+        """``report`` with the rates of warmed-up threads replaced by
+        their filter predictions; the other columns are shared."""
+        rates = report.rate_by_tid.copy()
+        for tid in report.present_by_tid.nonzero()[0].tolist():
+            rates[tid] = self.predict(tid, rates.item(tid))
+        return ObserverReport.of_columns(**{**vars(report), "rate_by_tid": rates})
 
 
 class LMSPredictorStage(Stage):
@@ -129,14 +128,12 @@ class LMSPredictorStage(Stage):
 
     def run(self, pipeline: "LMSDikeScheduler", state: StageState) -> None:
         with pipeline.stage_timer(self):
-            lms = pipeline.lms
-            lms.update(state.report.access_rate)
-            lms.prune(state.placement)
-            shadow = replace(
-                state.report, access_rate=lms.predicted_rates(state.report)
-            )
+            lms, report = pipeline.lms, state.report
+            measured = report.present_by_tid.nonzero()[0]
+            lms.update(measured.tolist(), report.rate_by_tid[measured].tolist())
+            lms.prune(state.placement.tids)
             state.predictions = pipeline.predictor.predict(
-                state.pairs, shadow, state.placement
+                state.pairs, lms.predicted_rates(report), state.placement
             )
 
 

@@ -39,8 +39,9 @@ actually use memory.  (Group membership is OS-visible — it is the
 process/tgid of each thread.)
 
 The report is columnar (:class:`ObserverReport`): arrays indexed by tid
-and by vcore, which Dike's own stages read directly.  The per-thread
-dicts of earlier versions remain as views, built on first read.
+and by vcore, which Dike's stages and its variants read directly.  Only
+the traced ``ObserverSample`` event carries per-thread dicts, built from
+the columns when a trace is recording.
 """
 
 from __future__ import annotations
@@ -97,11 +98,11 @@ _CLASS_NAMES = np.array(["C", "M"], dtype=object)
 NO_GROUP = int(np.iinfo(np.int64).min)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ObserverReport:
     """The Observer's per-quantum digest consumed by Selector/Predictor.
 
-    The report is columnar.  Dike's stages read these arrays:
+    The report is columnar:
 
     ``tids``
         The sampled tids in counter-row order (a tid that hit a barrier
@@ -110,11 +111,15 @@ class ObserverReport:
         Access rate, LLC miss rate, memory-intensive (``"M"``) mask and
         presence, indexed by tid.  A tid with two rows reads as its last.
     ``demand_by_tid``
-        Demand estimate by tid; ``inf`` for a thread never seen active.
+        Demand estimate by tid (the decaying peak of the thread's access
+        rate); ``inf`` for a thread never seen active.
     ``group_by_tid``
-        Process group by tid; :data:`NO_GROUP` outside ``group_of``.
+        Process group by tid; :data:`NO_GROUP` for a thread without one.
     ``bw_by_vcore``, ``high_by_vcore``
-        CoreBW estimate and high-bandwidth mask, indexed by vcore.
+        CoreBW capability estimate (accesses/second) and high-bandwidth
+        mask, indexed by vcore.
+    ``fairness``
+        Dike's ``getSystemFairness()`` value (lower = fairer).
 
     A tid-indexed column has one entry more than the largest tid it
     covers, a vcore-indexed one one entry more than the largest vcore.
@@ -122,50 +127,18 @@ class ObserverReport:
     present, class ``"C"``, demand ``inf``, no group, CoreBW ``nan``, not
     high.  :meth:`tid_slots` and :meth:`vcore_slots` send any id a
     column does not cover (negative or too large) to it.
-
-    The fields below are views of the columns, built on first read with
-    the keys, key order and values the Observer has always reported.
-    A report constructed from these fields (hand-made reports, or the
-    ``dataclasses.replace`` copy ``dike-lms`` makes) keeps them as its
-    views and derives the columns from them; tids and vcores must then
-    be non-negative.
-
-    Attributes
-    ----------
-    access_rate:
-        tid -> measured access rate this quantum (misses/second).
-    miss_rate:
-        tid -> LLC miss ratio this quantum.
-    classification:
-        tid -> ``"M"`` or ``"C"``.
-    core_bw:
-        vcore -> CoreBW capability estimate (accesses/second).
-    high_bw_cores:
-        Set of vcores currently identified as high-bandwidth.
-    fairness:
-        Dike's ``getSystemFairness()`` value (lower = fairer).
-    group_of:
-        tid -> process group, or ``None`` without groups.
-    demand_estimate:
-        tid -> decaying peak of the thread's access rate, in order of
-        first activity.
-    cache_occupancy:
-        tid -> allocated LLC share (MB) when the run uses an active
-        cache backend (`repro.sim.llc`); ``None`` under the default
-        ``NullLLC``.  Cache-aware policies (lfoc/bliss) read this.
     """
 
-    # No class-level defaults: a view missing from the instance is built
-    # by ``__getattr__``.
-    access_rate: dict[int, float]
-    miss_rate: dict[int, float]
-    classification: dict[int, str]
-    core_bw: dict[int, float]
-    high_bw_cores: frozenset[int]
+    tids: np.ndarray
+    rate_by_tid: np.ndarray
+    miss_by_tid: np.ndarray
+    is_m_by_tid: np.ndarray
+    present_by_tid: np.ndarray
+    demand_by_tid: np.ndarray
+    group_by_tid: np.ndarray
+    bw_by_vcore: np.ndarray
+    high_by_vcore: np.ndarray
     fairness: float
-    group_of: dict[int, int] | None
-    demand_estimate: dict[int, float] | None
-    cache_occupancy: dict[int, float] | None
 
     def __init__(
         self,
@@ -175,11 +148,12 @@ class ObserverReport:
         core_bw: Mapping[int, float],
         high_bw_cores: frozenset[int],
         fairness: float,
-        group_of: dict[int, int] | None = None,
+        group_of: Mapping[int, int] | None = None,
         demand_estimate: Mapping[int, float] | None = None,
-        cache_occupancy: Mapping[int, float] | None = None,
     ) -> None:
-        """A report from per-thread dicts; the columns are derived here."""
+        """A report made by hand (tests) from per-thread mappings: they
+        become the columns above and are not kept.  Tids and vcores must
+        be non-negative."""
         rate_ids, miss_ids, class_ids, demand_ids = (
             _ids(m, "tid")
             for m in (access_rate, miss_rate, classification, demand_estimate or {})
@@ -206,15 +180,7 @@ class ObserverReport:
         high = np.zeros(n_vcores + 1, bool)
         high[high_ids] = True
         self.__dict__.update(
-            access_rate=access_rate,
-            miss_rate=miss_rate,
-            classification=classification,
-            core_bw=core_bw,
-            high_bw_cores=high_bw_cores,
             fairness=fairness,
-            group_of=group_of,
-            demand_estimate=demand_estimate,
-            cache_occupancy=cache_occupancy,
             tids=rate_ids,
             rate_by_tid=rate,
             miss_by_tid=miss,
@@ -229,24 +195,12 @@ class ObserverReport:
 
     @classmethod
     def of_columns(cls, **fields) -> "ObserverReport":
-        """A report holding ``fields``: ``fairness``, ``group_of`` and the
-        columns above, plus what the views are built from —
-        ``_demand_order`` (the tids of ``demand_estimate`` in order of
-        first activity), ``_cache_rows`` (the counters' ``tid`` and
-        ``cache_mb`` columns) and ``_n_classified`` (distinct tids).  The
-        arrays are shared, not copied: none may change afterwards."""
+        """A report holding ``fields``: every field above, plus
+        ``_n_classified`` (the number of distinct tids).  The arrays are
+        shared, not copied: none may change afterwards."""
         report = cls.__new__(cls)
         report.__dict__.update(fields)
         return report
-
-    def __getattr__(self, name: str):
-        build = _VIEWS.get(name)
-        if build is None or "tids" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        value = self.__dict__[name] = build(self)
-        return value
 
     # ----------------------------------------------------------- lookups
 
@@ -259,15 +213,15 @@ class ObserverReport:
         return np.minimum(np.maximum(vcores, -1), self.bw_by_vcore.size - 1)
 
     def rate_of(self, tid: int) -> float:
-        """``access_rate.get(tid, 0.0)``."""
+        """The access rate of ``tid``; 0.0 if it was not sampled."""
         return self.rate_by_tid.item(_slot(tid, self.rate_by_tid.size))
 
     def core_bw_of(self, vcore: int) -> float:
-        """``core_bw.get(vcore, nan)``."""
+        """The CoreBW estimate of ``vcore``; ``nan`` off the machine."""
         return self.bw_by_vcore.item(_slot(vcore, self.bw_by_vcore.size))
 
     def demand_of(self, tid: int) -> float:
-        """``(demand_estimate or {}).get(tid, inf)``."""
+        """The demand estimate of ``tid``; ``inf`` if never seen active."""
         return self.demand_by_tid.item(_slot(tid, self.demand_by_tid.size))
 
     # ----------------------------------------------------------- summary
@@ -305,35 +259,6 @@ def _group_column(groups: Mapping[int, int] | None, n: int) -> np.ndarray:
         inside = (tids >= 0) & (tids < n)
         column[tids[inside]] = np.fromiter(groups.values(), np.int64, len(groups))[inside]
     return column
-
-
-def _by_row(report: ObserverReport, column: np.ndarray) -> dict:
-    # dict(zip(...)) keeps a tid at its first row; both rows of a tid
-    # read the same column entry, its last row's.
-    tids = report.tids
-    return dict(zip(tids.tolist(), column[tids].tolist()))
-
-
-def _cache_occupancy(report: ObserverReport) -> dict[int, float] | None:
-    tid, cache_mb = report._cache_rows
-    cached = cache_mb > 0.0
-    if not cached.any():
-        return None
-    return dict(zip(tid[cached].tolist(), cache_mb[cached].tolist()))
-
-
-#: view field -> builder, for reports made by :meth:`ObserverReport.of_columns`
-_VIEWS = {
-    "access_rate": lambda r: _by_row(r, r.rate_by_tid),
-    "miss_rate": lambda r: _by_row(r, r.miss_by_tid),
-    "classification": lambda r: _by_row(r, _CLASS_NAMES[r.is_m_by_tid.astype(np.intp)]),
-    "core_bw": lambda r: dict(enumerate(r.bw_by_vcore[:-1].tolist())),
-    "high_bw_cores": lambda r: frozenset(r.high_by_vcore.nonzero()[0].tolist()),
-    "demand_estimate": lambda r: dict(
-        zip(r._demand_order.tolist(), r.demand_by_tid[r._demand_order].tolist())
-    ),
-    "cache_occupancy": _cache_occupancy,
-}
 
 
 class Observer:
@@ -393,9 +318,8 @@ class Observer:
         #: tid -> decaying peak of observed access rate (the thread's
         #: *demand*: what it would consume given an uncontended fast core)
         self._demand = np.zeros(slots)
-        #: tids seen active, as a mask and in order of first activity
+        #: tids seen active
         self._seen = np.zeros(slots, bool)
-        self._demand_order = np.zeros(0, np.int64)
         #: the fairness signal's group layout and the active tids it is for
         self._layout: GroupLayout | None = None
         self._layout_key: bytes | None = None
@@ -456,7 +380,6 @@ class Observer:
         active_rate = active_own if rate is own_rate else rate[active]
         report = ObserverReport.of_columns(
             fairness=self._system_fairness(active_tids, active_rate),
-            group_of=self.groups,
             tids=tid,
             rate_by_tid=rate_by_tid,
             miss_by_tid=miss_by_tid,
@@ -466,21 +389,12 @@ class Observer:
             group_by_tid=self._group_by_tid,
             bw_by_vcore=bw,
             high_by_vcore=self._identify_high_bw(bw),
-            _demand_order=self._demand_order,
-            _cache_rows=(tid, counters.cache_mb),
             _n_classified=int(n_tids),
         )
         if self.bus.enabled:
             self._emit(report)
         self._prev = report
         return report
-
-    def core_bw_value(self, vcore: int) -> float:
-        """CoreBW estimate: probed moving mean, else the optimistic prior."""
-        value = float(self._bw_mean[vcore])
-        if math.isfinite(value):
-            return value
-        return self._best_probe  # nan before any probe anywhere
 
     # ------------------------------------------------------------- internals
 
@@ -506,24 +420,35 @@ class Observer:
         return counts
 
     def _emit(self, report: ObserverReport) -> None:
+        """The traced events of ``report``; their per-thread dicts hold
+        each sampled tid once, in order of its first row."""
         now = self.bus.now
-        classification = report.classification
+        rows = report.tids
+        keys = rows.tolist()
+
+        def by_tid(column: np.ndarray) -> dict:
+            # a tid's first row places it; every row of it reads the same
+            # column entry (its last row's)
+            return dict(zip(keys, column[rows].tolist()))
+
+        classification = by_tid(_CLASS_NAMES[report.is_m_by_tid.astype(np.intp)])
         self.bus.emit(
             ObserverSample(
                 *now,
-                access_rate=dict(report.access_rate),
-                miss_rate=dict(report.miss_rate),
-                classification=dict(classification),
-                core_bw=dict(report.core_bw),
-                high_bw_cores=tuple(sorted(report.high_bw_cores)),
+                access_rate=by_tid(report.rate_by_tid),
+                miss_rate=by_tid(report.miss_by_tid),
+                classification=classification,
+                core_bw=dict(enumerate(report.bw_by_vcore[:-1].tolist())),
+                high_bw_cores=tuple(report.high_by_vcore.nonzero()[0].tolist()),
             )
         )
-        if self._prev is not None:
-            previous = self._prev.classification
-            for t, cls in classification.items():
-                old = previous.get(t)
-                if old is not None and old != cls:
-                    self.bus.emit(ClassificationChanged(*now, tid=t, old=old, new=cls))
+        previous = self._prev
+        if previous is not None:
+            for t, new in classification.items():
+                slot = _slot(t, previous.present_by_tid.size)
+                old = "M" if previous.is_m_by_tid[slot] else "C"
+                if previous.present_by_tid[slot] and old != new:
+                    self.bus.emit(ClassificationChanged(*now, tid=t, old=old, new=new))
         fairness = report.fairness
         threshold = self.config.fairness_threshold
         self.bus.emit(
@@ -540,11 +465,7 @@ class Observer:
         (a tid has at most one)."""
         decayed = np.multiply(self._demand[tids], 0.75)
         self._demand[tids] = np.where(decayed > rates, decayed, rates)
-        seen = self._seen[tids]
-        if np.count_nonzero(seen) < tids.size:
-            fresh = tids[~seen]
-            self._seen[fresh] = True
-            self._demand_order = np.concatenate((self._demand_order, fresh))
+        self._seen[tids] = True
 
     def _probe(self, vcores: np.ndarray, bw: np.ndarray) -> None:
         """Fold one probe per entry of ``vcores`` (row order) into CoreBW."""

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.core.config import DikeConfig
 from repro.core.observer import ObserverReport
@@ -88,7 +89,7 @@ class Predictor:
         self,
         pairs: list[ThreadPair],
         report: ObserverReport,
-        placement: dict[int, int],
+        placement: Mapping[int, int],
     ) -> list[PairPrediction]:
         """Estimate profits for each pair (order preserved)."""
         out: list[PairPrediction] = []

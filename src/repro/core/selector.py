@@ -50,22 +50,12 @@ class Selector:
         self.bus = NULL_BUS
 
     def select(
-        self, report: ObserverReport, placement: dict[int, int]
-    ) -> list[ThreadPair]:
-        """Form violator pairs (see :meth:`_select`), emitting one
-        ``PairProposed`` event per pair when observability is on."""
-        n = len(placement)
-        return self.select_columns(
-            report,
-            np.fromiter(placement, np.int64, n),
-            np.fromiter(placement.values(), np.int64, n),
-        )
-
-    def select_columns(
         self, report: ObserverReport, tids: np.ndarray, vcores: np.ndarray
     ) -> list[ThreadPair]:
-        """:meth:`select` over a placement given as aligned ``tids`` and
-        ``vcores`` arrays (in the placement's order)."""
+        """Form violator pairs (see :meth:`_select`) among the threads
+        ``tids`` placed on ``vcores`` (aligned arrays, distinct tids in
+        any order), emitting one ``PairProposed`` event per pair when
+        observability is on."""
         pairs = self._select(report, tids, vcores)
         if self.bus.enabled:
             for pair in pairs:
@@ -82,13 +72,6 @@ class Selector:
         Works on the report's columns: the selectable threads (placed and
         measured) are sorted once, by access rate with a tid tiebreak, and
         every later step is a mask over that order.
-
-        Parameters
-        ----------
-        report:
-            The Observer's digest (access rates, classes, core identity).
-        tids, vcores:
-            Every live thread and its vcore (the placement).
         """
         if report.is_fair(self.config.fairness_threshold):
             return []
@@ -162,8 +145,6 @@ class Selector:
         skipped — their dispersion is not a memory-fairness problem a
         swap can fix.
         """
-        if report.group_of is None:
-            return []
         gid = report.group_by_tid[tids]
         grouped = (gid != NO_GROUP).nonzero()[0]
         if grouped.size < 2:

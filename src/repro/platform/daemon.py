@@ -26,7 +26,15 @@ from typing import Callable
 import numpy as np
 
 from repro.platform.iface import AffinityBackend, CounterWindow, PerfBackend
-from repro.schedulers.base import Move, Scheduler, SchedulingContext, Suspend, Swap, ThreadInfo
+from repro.schedulers.base import (
+    Move,
+    Placement,
+    Scheduler,
+    SchedulingContext,
+    Suspend,
+    Swap,
+    ThreadInfo,
+)
 from repro.sim.counters import QuantumCounters, ThreadSample
 from repro.sim.topology import Topology
 from repro.util.validation import check_positive, require
@@ -145,8 +153,9 @@ class SchedulingDaemon:
             self.stats.sample_failures += 1
             return []
 
-    def _current_placement(self) -> dict[int, int]:
-        placement: dict[int, int] = {}
+    def _current_placement(self) -> Placement:
+        """Each readable thread's lowest allowed core, sorted by tid."""
+        readings: dict[int, int] = {}
         for tid in self.threads:
             try:
                 cores = self.affinity.get_affinity(tid)
@@ -154,13 +163,13 @@ class SchedulingDaemon:
                 self.stats.enforce_failures += 1
                 continue
             if cores:
-                placement[tid] = min(cores)
-        return placement
+                readings[tid] = min(cores)
+        return Placement.of(readings)
 
     def _to_counters(
         self,
         windows: list[CounterWindow],
-        placement: dict[int, int],
+        placement: Placement,
         now: float,
         qlen: float,
     ) -> QuantumCounters:
@@ -188,7 +197,7 @@ class SchedulingDaemon:
             core_bandwidth=core_bw,
         )
 
-    def _enforce(self, action, placement: dict[int, int], now: float) -> None:
+    def _enforce(self, action, placement: Placement, now: float) -> None:
         if isinstance(action, Swap):
             va = placement.get(action.tid_a)
             vb = placement.get(action.tid_b)

@@ -8,6 +8,7 @@ per-quantum stage list on.
 from repro.schedulers.base import (
     Action,
     Move,
+    Placement,
     Scheduler,
     SchedulingContext,
     Suspend,
@@ -26,6 +27,7 @@ from repro.schedulers.static import StaticScheduler
 __all__ = [
     "Action",
     "Move",
+    "Placement",
     "Scheduler",
     "SchedulingContext",
     "Suspend",

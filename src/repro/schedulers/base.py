@@ -5,7 +5,7 @@ A scheduler interacts with the machine exclusively through:
 * an **initial placement** of threads onto virtual cores,
 * a per-quantum **decision** — a list of :class:`Swap`/:class:`Move`
   actions — computed from :class:`~repro.sim.counters.QuantumCounters`
-  (the hardware-counter view) and the current placement,
+  (the hardware-counter view) and the current :class:`Placement`,
 * its requested **quantum length** (adaptive schedulers change it at
   runtime),
 * optionally, a **decide gate** (:func:`gated`) telling the engine on
@@ -20,6 +20,7 @@ implemented against it would port to the real-platform backend.
 from __future__ import annotations
 
 import abc
+from collections.abc import ItemsView, Iterator, KeysView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -38,6 +39,7 @@ __all__ = [
     "Swap",
     "Suspend",
     "Action",
+    "Placement",
     "Scheduler",
     "DecideGate",
     "gated",
@@ -138,6 +140,82 @@ class Suspend:
 Action = Move | Swap | Suspend
 
 
+class Placement(Mapping[int, int]):
+    """tid -> vcore of every live thread, as two aligned read-only int64
+    columns: ``tids`` in ascending order and ``vcores``.
+
+    A read-only mapping over the columns that builds no dict: iteration,
+    ``len``, ``keys``, ``values`` and ``items`` read them, and
+    ``placement[tid]`` and ``tid in placement`` search ``tids``.  Array
+    code takes the columns as they are; dict code keeps working.
+    """
+
+    __slots__ = ("tids", "vcores")
+
+    def __init__(self, tids: np.ndarray, vcores: np.ndarray) -> None:
+        """Aligned 1-D columns, ``tids`` ascending (:meth:`of` sorts a
+        mapping); the placement holds read-only views of them."""
+        self.tids = np.asarray(tids, dtype=np.int64).view()
+        self.vcores = np.asarray(vcores, dtype=np.int64).view()
+        self.tids.flags.writeable = self.vcores.flags.writeable = False
+
+    @classmethod
+    def of(cls, placement: Mapping[int, int]) -> "Placement":
+        """``placement`` as columns (itself if it is one already)."""
+        if isinstance(placement, cls):
+            return placement
+        n = len(placement)
+        tids = np.fromiter(placement, np.int64, n)
+        order = tids.argsort(kind="stable")
+        return cls(tids[order], np.fromiter(placement.values(), np.int64, n)[order])
+
+    def __getitem__(self, tid: int) -> int:
+        tids = self.tids
+        i = int(tids.searchsorted(tid))
+        if i < tids.size and tids[i] == tid:
+            return self.vcores.item(i)
+        raise KeyError(tid)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.tids.tolist())
+
+    def __len__(self) -> int:
+        return self.tids.size
+
+    def keys(self) -> KeysView[int]:
+        return _Tids(self)
+
+    def values(self) -> ValuesView[int]:
+        return _Vcores(self)
+
+    def items(self) -> ItemsView[int, int]:
+        return _Pairs(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _Tids(KeysView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._mapping.tids.tolist())
+
+
+class _Vcores(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._mapping.vcores.tolist())
+
+
+class _Pairs(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self._mapping.tids.tolist(), self._mapping.vcores.tolist())
+
+
 class Scheduler(abc.ABC):
     """Base class for all scheduling policies."""
 
@@ -171,12 +249,13 @@ class Scheduler(abc.ABC):
 
     @abc.abstractmethod
     def decide(
-        self, counters: QuantumCounters, placement: dict[int, int]
+        self, counters: QuantumCounters, placement: Placement
     ) -> Sequence[Action]:
         """Return migrations to apply at this quantum boundary.
 
-        ``placement`` maps every *live* thread to its current virtual core;
-        actions may only reference live threads.
+        ``placement`` maps every *live* thread to its current virtual core
+        (a read-only mapping that also carries the ``tids`` and ``vcores``
+        columns); actions may only reference live threads.
         """
 
     def decide_gate(self) -> DecideGate | None:

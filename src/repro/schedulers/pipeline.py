@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from repro.schedulers.base import Action, Scheduler, SchedulingContext
+from repro.schedulers.base import Action, Placement, Scheduler, SchedulingContext
 from repro.sim.counters import QuantumCounters
 from repro.util.validation import require
 
@@ -55,14 +55,15 @@ def maybe_timer(metrics, name: str):
 class StageState:
     """Mutable per-quantum dataflow shared by a pipeline's stages.
 
-    ``counters`` and ``placement`` are the engine's inputs to ``decide``;
+    ``counters`` and ``placement`` are the engine's inputs to ``decide``
+    (stages read the placement's ``tids`` and ``vcores`` columns);
     every other field starts empty and is filled by the stage that owns
     it (``report`` by the observer stage, ``pairs`` by the selector stage,
     and so on).  ``actions`` is what ``decide`` returns to the engine.
     """
 
     counters: QuantumCounters
-    placement: dict[int, int]
+    placement: Placement
     report: object | None = None
     pairs: list | None = None
     predictions: list | None = None
@@ -130,9 +131,11 @@ class StagePipeline(Scheduler):
     # ---------------------------------------------------------- decision
 
     def decide(
-        self, counters: QuantumCounters, placement: dict[int, int]
+        self, counters: QuantumCounters, placement: Mapping[int, int]
     ) -> Sequence[Action]:
-        state = StageState(counters=counters, placement=placement)
+        """Run the stages; any mapping other than a :class:`Placement`
+        (a hand-made dict) becomes one first."""
+        state = StageState(counters=counters, placement=Placement.of(placement))
         self.begin_quantum(state)
         for stage in self.stages:
             stage.run(self, state)

@@ -58,6 +58,7 @@ from repro.obs.metrics import timed
 from repro.schedulers.base import (
     Action,
     Move,
+    Placement,
     Scheduler,
     SchedulingContext,
     Suspend,
@@ -618,9 +619,10 @@ class SimulationEngine:
         return counters
 
     def _decide(self, counters: QuantumCounters | None) -> None:
-        placement = self.state.live_placement()
-        if placement:
-            self._apply_actions(self.scheduler.decide(counters, placement), placement)
+        live = self.state.live_indices()
+        if live.size:
+            placement = Placement(live, self.state.vcore[live])
+            self._apply_actions(self.scheduler.decide(counters, placement))
 
     def _quantum_counters(
         self,
@@ -674,9 +676,7 @@ class SimulationEngine:
     # --------------------------------------------------------------- actions
 
     @timed("engine.apply_actions_s")
-    def _apply_actions(
-        self, actions: Sequence[Action], placement: dict[int, int]
-    ) -> None:
+    def _apply_actions(self, actions: Sequence[Action]) -> None:
         st = self.state
         n = st.n
         touched: set[int] = set()

@@ -181,12 +181,8 @@ class SimState:
             mask &= self.suspend_left[lo:hi] == 0
         return np.flatnonzero(mask) + lo
 
-    def live_mask(self) -> np.ndarray:
-        """Placed, unfinished threads (runnable or not), over all tids."""
-        return self.arrived & ~self.finished
-
     def live_indices(self) -> np.ndarray:
-        """Tids of placed, unfinished threads (windowed ``live_mask``)."""
+        """Tids of placed, unfinished threads (runnable or not)."""
         lo, hi = self._live_lo, self._arrived_hi
         mask = self.arrived[lo:hi] & ~self.finished[lo:hi]
         return np.flatnonzero(mask) + lo
@@ -203,11 +199,6 @@ class SimState:
 
     def all_finished(self) -> bool:
         return self.n_finished == self.n
-
-    def live_placement(self) -> dict[int, int]:
-        """tid -> vcore for every live thread (the scheduler's view)."""
-        idx = self.live_indices()
-        return dict(zip(idx.tolist(), self.vcore[idx].tolist()))
 
     # --------------------------------------------------------- placement
 

@@ -146,6 +146,13 @@ class Tuner:
         self._rng = np.random.default_rng(config.seed)
         #: (point key, scale) -> score; distinct entries = budget spent
         self._scores: dict[tuple, float] = {}
+        # Built here, so bad strategy numbers fail before any search runs.
+        if config.strategy == "ga":
+            self.strategy = STRATEGIES["ga"](population=config.population)
+        else:
+            self.strategy = STRATEGIES["halving"](
+                eta=config.eta, quick_scale=config.quick_scale
+            )
 
     # --------------------------------------------------------- evaluation
 
@@ -191,8 +198,7 @@ class Tuner:
     # ------------------------------------------------------------- search
 
     def run(self) -> TuneResult:
-        cfg = self.config
-        strategy = self._make_strategy()
+        cfg, strategy = self.config, self.strategy
         if cfg.strategy == "halving":
             history = strategy.run(
                 self.space, self.evaluate, cfg.budget, self._rng,
@@ -215,14 +221,6 @@ class Tuner:
             best_score=best.score,
             history=tuple(history),
             n_evaluations=len(self._scores),
-        )
-
-    def _make_strategy(self):
-        cfg = self.config
-        if cfg.strategy == "ga":
-            return STRATEGIES["ga"](population=cfg.population)
-        return STRATEGIES["halving"](
-            eta=cfg.eta, quick_scale=cfg.quick_scale
         )
 
 

@@ -14,6 +14,8 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.campaign import executor as executor_mod
 from repro.campaign.executor import ExecutorConfig, TaskFailure, run_tasks
 from repro.campaign.spec import WorkloadRef
@@ -47,6 +49,29 @@ def _scripted(task: ExperimentSpec) -> str:
 
 
 FAST = dict(backoff_s=0.001, backoff_factor=1.0)
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(max_workers=0),
+            dict(max_workers=-2),
+            dict(retries=-1),
+            dict(timeout_s=0.0),
+            dict(timeout_s=-1.0),
+            dict(timeout_s=float("nan")),
+            dict(timeout_s=float("inf")),
+        ],
+        ids=repr,
+    )
+    def test_rejects_what_no_executor_can_run(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ExecutorConfig(**kwargs)
+
+    def test_accepts_runnable_configs(self):
+        assert ExecutorConfig().timeout_s is None
+        assert ExecutorConfig(max_workers=4, timeout_s=0.3, retries=0).parallel
 
 
 class TestSerial:

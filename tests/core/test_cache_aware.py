@@ -19,6 +19,7 @@ from repro.core.dike import DIKE_STAGES, SelectorStage
 from repro.core.observer import ObserverReport
 from repro.core.selector import Selector
 from repro.obs.events import CacheClusterFormed, EventBus
+from repro.schedulers.base import Placement
 
 
 def make_report(
@@ -78,22 +79,24 @@ class TestCacheClusterer:
             {0: 4e6, 1: 1e6, 2: 3e6, 3: 2e6},
             {0: "M", 1: "C", 2: "M", 3: "C"},
         )
-        clusters = clusterer.partition(report, {0: 0, 1: 1, 2: 2, 3: 3})
-        assert clusters == [[1, 3], [2, 0]]  # sorted by rate, split in half
+        placement = Placement.of({0: 0, 1: 1, 2: 2, 3: 3})
+        clusters = clusterer.partition(report, placement)
+        # sorted by rate, split in half
+        assert [placement.tids[rows].tolist() for rows in clusters] == [[1, 3], [2, 0]]
 
     def test_partition_never_makes_singleton_clusters(self):
         clusterer = CacheClusterer(n_clusters=3)
         report = make_report(
             {0: 1e6, 1: 2e6, 2: 3e6}, {0: "C", 1: "C", 2: "M"}
         )
-        clusters = clusterer.partition(report, {0: 0, 1: 1, 2: 2})
+        clusters = clusterer.partition(report, Placement.of({0: 0, 1: 1, 2: 2}))
         # 3 threads support at most one 2+-member cluster boundary: k=1.
         assert len(clusters) == 1
 
     def test_partition_too_few_threads(self):
         clusterer = CacheClusterer(n_clusters=2)
         report = make_report({0: 1e6}, {0: "C"})
-        assert clusterer.partition(report, {0: 0}) == []
+        assert clusterer.partition(report, Placement.of({0: 0})) == []
 
     def test_fair_system_selects_nothing(self):
         clusterer = CacheClusterer(n_clusters=2)
@@ -102,7 +105,7 @@ class TestCacheClusterer:
         )
         config = DikeConfig()
         pairs = clusterer.select(
-            report, {0: 0, 1: 1}, Selector(config), config
+            report, Placement.of({0: 0, 1: 1}), Selector(config), config
         )
         assert pairs == []
 
@@ -116,7 +119,7 @@ class TestCacheClusterer:
         )
         config = DikeConfig()
         pairs = clusterer.select(
-            report, {0: 0, 1: 1, 2: 4, 3: 5}, Selector(config), config
+            report, Placement.of({0: 0, 1: 1, 2: 4, 3: 5}), Selector(config), config
         )
         light, heavy = {0, 1}, {2, 3}
         for p in pairs:
@@ -130,7 +133,7 @@ class TestCacheClusterer:
         report = make_report(rates, classes, high_cores={0, 1})
         config = DikeConfig(swap_size=2)  # n_pairs == 1
         pairs = clusterer.select(
-            report, {t: t for t in range(8)}, Selector(config), config
+            report, Placement.of({t: t for t in range(8)}), Selector(config), config
         )
         assert len(pairs) <= config.n_pairs
 
@@ -145,7 +148,8 @@ class TestCacheClusterer:
             {0: "C", 1: "C", 2: "M", 3: "M"},
         )
         config = DikeConfig()
-        clusterer.select(report, {t: t for t in range(4)}, Selector(config), config)
+        placement = Placement.of({t: t for t in range(4)})
+        clusterer.select(report, placement, Selector(config), config)
         formed = [e for e in sink.events if isinstance(e, CacheClusterFormed)]
         assert [e.cluster for e in formed] == [0, 1]
         assert formed[0].tids == (0, 1)
@@ -162,7 +166,7 @@ class TestBlacklister:
         report = make_report(
             {0: 1e6, 1: 1e6, 2: 1e7}, {0: "C", 1: "C", 2: "M"}
         )
-        bl.select(report, {0: 0, 1: 1, 2: 2}, Selector(DikeConfig()))
+        bl.select(report, Placement.of({0: 0, 1: 1, 2: 2}), Selector(DikeConfig()))
         assert bl.banned == frozenset({2})
 
     def test_ban_expires_after_quanta(self):
@@ -171,15 +175,15 @@ class TestBlacklister:
         hot = make_report(
             {0: 1e6, 1: 1e6, 2: 1e7}, {0: "C", 1: "C", 2: "M"}
         )
-        bl.select(hot, {0: 0, 1: 1, 2: 2}, selector)
+        bl.select(hot, Placement.of({0: 0, 1: 1, 2: 2}), selector)
         assert 2 in bl.banned
         # Thread 2 calms down: the standing ban decays over 2 quanta.
         calm = make_report(
             {0: 1e6, 1: 1e6, 2: 1e6}, {0: "C", 1: "C", 2: "M"}
         )
-        bl.select(calm, {0: 0, 1: 1, 2: 2}, selector)
+        bl.select(calm, Placement.of({0: 0, 1: 1, 2: 2}), selector)
         assert 2 in bl.banned
-        bl.select(calm, {0: 0, 1: 1, 2: 2}, selector)
+        bl.select(calm, Placement.of({0: 0, 1: 1, 2: 2}), selector)
         assert 2 not in bl.banned
 
     def test_banned_thread_never_paired(self):
@@ -190,7 +194,7 @@ class TestBlacklister:
             {0: "C", 1: "C", 2: "M", 3: "M"},
             high_cores={0, 1},
         )
-        pairs = bl.select(report, {0: 0, 1: 1, 2: 4, 3: 5}, selector)
+        pairs = bl.select(report, Placement.of({0: 0, 1: 1, 2: 4, 3: 5}), selector)
         assert 3 in bl.banned
         for p in pairs:
             assert 3 not in (p.t_l, p.t_h)
@@ -204,7 +208,7 @@ class TestBlacklister:
         report = make_report(
             {0: 1e6, 1: 1e6, 2: 1e7}, {0: "C", 1: "C", 2: "M"}
         )
-        bl.select(report, {0: 0, 1: 1, 2: 2}, Selector(DikeConfig()))
+        bl.select(report, Placement.of({0: 0, 1: 1, 2: 2}), Selector(DikeConfig()))
         events = [e for e in sink.events if isinstance(e, CacheClusterFormed)]
         assert len(events) == 1
         assert events[0].label == "blacklisted"
@@ -215,7 +219,7 @@ class TestBlacklister:
         report = make_report(
             {0: 1e6, 1: 1e6, 2: 1e6}, {0: "M", 1: "M", 2: "M"}
         )
-        bl.select(report, {0: 0, 1: 1, 2: 2}, Selector(DikeConfig()))
+        bl.select(report, Placement.of({0: 0, 1: 1, 2: 2}), Selector(DikeConfig()))
         assert bl.banned == frozenset()
 
     def test_validation(self):

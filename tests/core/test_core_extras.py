@@ -30,16 +30,16 @@ class TestMigrator:
 
 class TestIpcMetric:
     def test_ipc_metric_changes_sort_signal(self):
-        """With contention_metric='ipc' the report's access_rate dict holds
+        """With contention_metric='ipc' the report's rate column holds
         instruction rates instead of memory rates."""
         obs_rate = Observer(DikeConfig(), n_vcores=8)
         obs_ipc = Observer(DikeConfig(contention_metric="ipc"), n_vcores=8)
         counters = make_counters({0: (0, 2e6, 0.4)})
         r_rate = obs_rate.update(counters)
         r_ipc = obs_ipc.update(counters)
-        assert r_rate.access_rate[0] == pytest.approx(2e6)
+        assert r_rate.rate_of(0) == pytest.approx(2e6)
         # ips = instructions / runtime = 1e8 / 0.5
-        assert r_ipc.access_rate[0] == pytest.approx(2e8)
+        assert r_ipc.rate_of(0) == pytest.approx(2e8)
 
     def test_invalid_metric_rejected(self):
         with pytest.raises(ValueError):

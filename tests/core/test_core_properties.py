@@ -178,14 +178,10 @@ class TestObserverConsistency:
         obs = Observer(DikeConfig(), n_vcores=8)
         counters = make_counters(threads)
         report = obs.update(counters)
-        # every sampled thread appears in every per-thread map
-        for tid in threads:
-            assert tid in report.access_rate
-            assert tid in report.miss_rate
-            assert report.classification[tid] in ("M", "C")
+        # every sampled thread is present, and only those
+        assert set(report.present_by_tid.nonzero()[0].tolist()) == set(threads)
         # classes match the threshold
-        for tid, miss in report.miss_rate.items():
-            expected = "M" if miss > 0.10 else "C"
-            assert report.classification[tid] == expected
+        for tid in threads:
+            assert report.is_m_by_tid[tid] == (report.miss_by_tid[tid] > 0.10)
         # high-BW cores is a subset of all cores
-        assert all(0 <= v < 8 for v in report.high_bw_cores)
+        assert all(0 <= v < 8 for v in report.high_by_vcore.nonzero()[0])

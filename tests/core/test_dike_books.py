@@ -26,7 +26,7 @@ from repro.core.predictor import PairPrediction
 from repro.core.selector import ThreadPair
 from repro.obs.events import EventBus
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.schedulers.base import SchedulingContext, ThreadInfo
+from repro.schedulers.base import Placement, SchedulingContext, ThreadInfo
 from repro.schedulers.pipeline import StageState
 from repro.topologies import TOPOLOGY_REGISTRY
 
@@ -42,28 +42,28 @@ class ReferenceBooks:
         self.pending: dict[int, tuple[int, float, float]] = {}
         self.records: list[tuple] = []
 
-    def backfill(self, quantum_index: int, report: ObserverReport) -> None:
+    def backfill(self, quantum_index: int, views: SimpleNamespace) -> None:
         done = []
         for tid, (q, t, predicted) in self.pending.items():
             if quantum_index <= q:
                 continue
-            actual = report.access_rate.get(tid)
+            actual = views.access_rate.get(tid)
             if actual is not None and actual > 0.0:
                 self.records.append((t, q, tid, predicted, actual))
             done.append(tid)
         for tid in done:
             self.pending.pop(tid, None)
 
-    def end_quantum(self, q, t, report, placement, accepted) -> None:
-        demand = report.demand_estimate or {}
+    def end_quantum(self, q, t, views, placement, accepted) -> None:
+        demand = views.demand_estimate or {}
         for tid in placement:
-            rate = report.access_rate.get(tid)
+            rate = views.access_rate.get(tid)
             if rate is not None and rate > 0.0:
                 self.pending[tid] = (q, t, rate)
         for pred in accepted:
             for tid, dest_bw in (
-                (pred.pair.t_l, report.core_bw.get(placement[pred.pair.t_h])),
-                (pred.pair.t_h, report.core_bw.get(placement[pred.pair.t_l])),
+                (pred.pair.t_l, views.core_bw.get(placement[pred.pair.t_h])),
+                (pred.pair.t_h, views.core_bw.get(placement[pred.pair.t_l])),
             ):
                 moved_case = dest_bw if dest_bw is not None else float("nan")
                 predicted = min(moved_case, demand.get(tid, float("inf")))
@@ -77,7 +77,8 @@ def bits(rows) -> list:
 
 @st.composite
 def quanta(draw):
-    """One quantum: its report, placement and accepted swaps."""
+    """One quantum: its report, the dicts it was built from, its
+    placement and accepted swaps."""
     measured = draw(st.lists(st.integers(0, N_TIDS - 1), unique=True))
     rates = {
         t: draw(st.sampled_from([0.0, -0.0, 1e5, 2e5, 3.5e5]) | st.floats(0.0, 1e7))
@@ -94,13 +95,16 @@ def quanta(draw):
         if draw(st.integers(0, 4))
     }
     placed = draw(st.lists(st.integers(0, N_TIDS + 2), unique=True, max_size=N_TIDS))
-    placement = {t: draw(st.integers(0, N_VCORES - 1)) for t in placed}
+    placement = Placement.of({t: draw(st.integers(0, N_VCORES - 1)) for t in placed})
     swappable = draw(st.permutations(placed))
     accepted = [
         PairPrediction(ThreadPair(a, b), 0.0, 0.0, 0.0, 0.0)
         for a, b in zip(swappable[0::2], swappable[1::2])
         if draw(st.booleans())
     ]
+    views = SimpleNamespace(
+        access_rate=rates, core_bw=core_bw, demand_estimate=demand or None
+    )
     report = ObserverReport(
         access_rate=rates,
         miss_rate={},
@@ -110,7 +114,8 @@ def quanta(draw):
         fairness=1.0,
         demand_estimate=demand or None,
     )
-    return draw(st.sampled_from([0, 1, 1, 2])), report, placement, accepted
+    step = draw(st.sampled_from([0, 1, 1, 2]))
+    return step, report, views, placement, accepted
 
 
 def prepared_scheduler(metrics=None) -> DikeScheduler:
@@ -131,18 +136,18 @@ class TestArrayBooksEqualDictBooks:
         sched = prepared_scheduler(metrics)
         reference = ReferenceBooks(sched.predictor.overhead)
         quantum_index = 0
-        for step, report, placement, accepted in stream:
+        for step, report, views, placement, accepted in stream:
             quantum_index += step
             counters = SimpleNamespace(quantum_index=quantum_index, time_s=0.5 * quantum_index)
             sched._backfill_predictions(counters, report)
-            reference.backfill(quantum_index, report)
+            reference.backfill(quantum_index, views)
             sched.begin_quantum(StageState(counters=counters, placement=placement))
             state = StageState(
                 counters=counters, placement=placement, report=report, accepted=accepted
             )
             sched.end_quantum(state)
             reference.end_quantum(
-                quantum_index, counters.time_s, report, placement, accepted
+                quantum_index, counters.time_s, views, placement, accepted
             )
             tids, q, t, predicted = sched._pending
             assert tids.tolist() == list(reference.pending)
@@ -167,7 +172,7 @@ class TestArrayBooksEqualDictBooks:
             high_bw_cores=frozenset(),
             fairness=1.0,
         )
-        placement = {2: 2, 1: 1, 0: 0}
+        placement = Placement.of({2: 2, 1: 1, 0: 0})
         counters = SimpleNamespace(quantum_index=3, time_s=1.5)
         sched.begin_quantum(StageState(counters=counters, placement=placement))
         sched.end_quantum(StageState(
@@ -175,9 +180,9 @@ class TestArrayBooksEqualDictBooks:
             accepted=[PairPrediction(ThreadPair(1, 0), 0.0, 0.0, 0.0, 0.0)],
         ))
         tids, _, _, predicted = sched._pending
-        # 2 and 0 in placement order; 0 takes its moved-case prediction in
-        # place; 1 (no positive rate) appends
-        assert tids.tolist() == [2, 0, 1]
+        # 0 and 2 in placement (tid) order; 0 takes its moved-case
+        # prediction in place; 1 (no positive rate) appends
+        assert tids.tolist() == [0, 2, 1]
         overhead = sched.predictor.overhead
-        assert predicted.tolist() == [2e5, 3e5 - overhead(3e5), 4e5 - overhead(4e5)]
+        assert predicted.tolist() == [3e5 - overhead(3e5), 2e5, 4e5 - overhead(4e5)]
         assert np.all(sched._pending[1] == 3)

@@ -21,6 +21,7 @@ from repro.obs.diff import diff_traces
 from repro.obs.events import EventBus
 from repro.obs.invariants import RULES, InvariantSink
 from repro.policies import REGISTRY
+from repro.schedulers.base import Placement
 from repro.topologies import TOPOLOGY_REGISTRY
 from repro.workloads.suite import WorkloadSpec
 
@@ -75,8 +76,10 @@ class TestClusterPartitioner:
 
     def test_every_placed_thread_in_exactly_one_cluster(self, scale_topology):
         part = ClusterPartitioner(scale_topology, 4)
-        placement = {tid: (tid * 7) % scale_topology.n_vcores for tid in range(48)}
-        members = part.members(placement)
+        placement = Placement.of(
+            {tid: (tid * 7) % scale_topology.n_vcores for tid in range(48)}
+        )
+        members = [placement.tids[rows].tolist() for rows in part.members(placement)]
         flat = [t for tids in members for t in tids]
         assert sorted(flat) == sorted(placement)  # exactly once each
         for idx, tids in enumerate(members):
@@ -112,7 +115,8 @@ class TestRebalancer:
             n_pairs = 0  # budget exhausted
 
         out = reb.rebalance(
-            members=[[1, 2], [3, 4]],
+            members=[[0, 1], [2, 3]],
+            placement=Placement.of({1: 0, 2: 1, 3: 2, 4: 3}),
             report=None,
             accepted=[],
             decider=None,
@@ -126,7 +130,7 @@ class TestRebalancer:
     def test_off_period_quanta_do_nothing(self):
         reb = InterClusterRebalancer(period=10, threshold=0.0, signal="rate")
         for q in (0, 1, 9, 11, 19):
-            assert reb.rebalance([[1], [2]], None, [], None, None, q, 0.0) == []
+            assert reb.rebalance([[0], [1]], None, None, [], None, None, q, 0.0) == []
 
     def test_cluster_signal_adds_left_to_right(self):
         """The same mean on every interpreter: Python 3.12's builtin

@@ -51,8 +51,8 @@ class TestClassification:
         obs = make_observer()
         counters = make_counters({0: (0, 1e6, 0.11), 1: (1, 1e6, 0.09)})
         report = obs.update(counters)
-        assert report.classification[0] == "M"
-        assert report.classification[1] == "C"
+        assert report.is_m_by_tid[0]
+        assert not report.is_m_by_tid[1]
 
     def test_classify_exact_threshold_is_compute(self):
         # The paper's rule is "miss rate > 10% => M", *strictly* greater:
@@ -75,15 +75,15 @@ class TestClassification:
         obs = make_observer()
         r1 = obs.update(make_counters({0: (0, 1e6, 0.3)}))
         r2 = obs.update(make_counters({0: (0, 1e4, 0.02)}, quantum_index=1))
-        assert r1.classification[0] == "M"
-        assert r2.classification[0] == "C"
+        assert r1.is_m_by_tid[0]
+        assert not r2.is_m_by_tid[0]
 
 
 class TestCoreBW:
     def test_memory_occupant_probes_core(self):
         obs = make_observer()
         report = obs.update(make_counters({0: (3, 2e6, 0.4)}))
-        assert report.core_bw[3] == pytest.approx(2e6)
+        assert report.core_bw_of(3) == pytest.approx(2e6)
 
     def test_compute_occupant_does_not_probe(self):
         obs = make_observer()
@@ -92,36 +92,36 @@ class TestCoreBW:
             make_counters({0: (5, 1e4, 0.02)}, quantum_index=1)
         )
         # core 5 unprobed: falls back to the optimistic best probe
-        assert report.core_bw[5] == pytest.approx(2e6)
+        assert report.core_bw_of(5) == pytest.approx(2e6)
 
     def test_unprobed_machine_is_nan(self):
         obs = make_observer()
         report = obs.update(make_counters({0: (0, 1e4, 0.02)}))
-        assert math.isnan(report.core_bw[0])
+        assert math.isnan(report.core_bw_of(0))
 
     def test_moving_mean_tracks_contention(self):
         obs = make_observer(corebw_window=2)
         obs.update(make_counters({0: (0, 4e6, 0.4)}))
         obs.update(make_counters({0: (0, 2e6, 0.4)}, quantum_index=1))
         report = obs.update(make_counters({0: (0, 2e6, 0.4)}, quantum_index=2))
-        assert report.core_bw[0] == pytest.approx(2e6)
+        assert report.core_bw_of(0) == pytest.approx(2e6)
 
     def test_high_bw_identification_median_split(self):
         obs = make_observer()
         report = obs.update(
             make_counters({0: (0, 4e6, 0.4), 1: (1, 1e6, 0.4)})
         )
-        assert 0 in report.high_bw_cores
-        assert 1 not in report.high_bw_cores
+        assert report.high_by_vcore[0]
+        assert not report.high_by_vcore[1]
         # unprobed cores sit at the optimistic max -> high side
-        assert 5 in report.high_bw_cores
+        assert report.high_by_vcore[5]
 
     def test_reset_clears_probes(self):
         obs = make_observer()
         obs.update(make_counters({0: (0, 2e6, 0.4)}))
         obs.reset()
         report = obs.update(make_counters({0: (1, 1e4, 0.02)}, quantum_index=1))
-        assert math.isnan(report.core_bw[0])
+        assert math.isnan(report.core_bw_of(0))
 
 
 class TestFairnessSignal:
@@ -188,7 +188,7 @@ class TestDemandEstimate:
         obs = make_observer()
         obs.update(make_counters({0: (0, 3e6, 0.4)}))
         report = obs.update(make_counters({0: (0, 1e6, 0.4)}, quantum_index=1))
-        est = report.demand_estimate[0]
+        est = report.demand_of(0)
         assert 1e6 < est <= 3e6
 
     def test_decays_toward_current(self):
@@ -196,4 +196,4 @@ class TestDemandEstimate:
         obs.update(make_counters({0: (0, 3e6, 0.4)}))
         for q in range(1, 20):
             report = obs.update(make_counters({0: (0, 1e6, 0.4)}, quantum_index=q))
-        assert report.demand_estimate[0] == pytest.approx(1e6, rel=0.05)
+        assert report.demand_of(0) == pytest.approx(1e6, rel=0.05)

@@ -10,16 +10,15 @@ cache occupancy, the ``ipc`` metric, ragged or missing process groups,
 out-of-range vcores, a vcore probed twice in one quantum) and every
 report field must match exactly: same keys, same order, same bits.
 
-The report is columnar and builds its dict fields as views on first
-read; the views, the column lookups Dike's stages use instead of them
-(``rate_of``, ``core_bw_of``, ``demand_of``, the C/M counts), a copy
-made with ``dataclasses.replace`` (which goes back through dicts) and
-the traced ``ObserverSample`` all have to agree with the reference.
+The report is columnar.  ``as_dicts`` below reads its columns back into
+the reference's per-thread dicts; those, the column lookups Dike's
+stages use (``rate_of``, ``core_bw_of``, ``demand_of``, the C/M counts)
+and the traced ``ObserverSample`` and ``ClassificationChanged`` events
+all have to agree with the reference.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import deque
 
@@ -28,8 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DikeConfig
-from repro.core.observer import Observer, ObserverReport, classify
-from repro.obs.events import EventBus, ObserverSample
+from repro.core.observer import NO_GROUP, Observer, ObserverReport, classify
+from repro.obs.events import ClassificationChanged, EventBus, ObserverSample
 from repro.sim.counters import QuantumCounters, ThreadSample
 from repro.util.stats import coefficient_of_variation
 
@@ -58,7 +57,6 @@ class ReferenceObserver:
     def update(self, counters: QuantumCounters) -> dict:
         access_rate, miss_rate, classification = {}, {}, {}
         active = []
-        cache_occupancy = None
         use_ipc = self.config.contention_metric == "ipc"
         for s in counters.samples:
             access_rate[s.tid] = s.ips if use_ipc else s.access_rate
@@ -66,10 +64,6 @@ class ReferenceObserver:
             classification[s.tid] = classify(
                 s.miss_rate, self.config.classification_miss_threshold
             )
-            if s.cache_mb > 0.0:
-                if cache_occupancy is None:
-                    cache_occupancy = {}
-                cache_occupancy[s.tid] = s.cache_mb
             if s.instructions > 0.0:
                 active.append((s.tid, access_rate[s.tid]))
                 prev = self.demand.get(s.tid, 0.0)
@@ -108,8 +102,7 @@ class ReferenceObserver:
             "core_bw": core_bw,
             "high_bw_cores": high,
             "fairness": self.fairness(active),
-            "demand_estimate": dict(self.demand),
-            "cache_occupancy": cache_occupancy,
+            "demand_estimate": dict(sorted(self.demand.items())),
         }
 
     def fairness(self, active) -> float:
@@ -131,6 +124,27 @@ class ReferenceObserver:
             if math.isfinite(cv):
                 signal += left_sum(rates) / total * cv
         return signal
+
+
+def as_dicts(report: ObserverReport) -> dict:
+    """The report's columns as the reference's per-thread dicts: a tid
+    keyed at its first row, the demand estimate by tid."""
+    rows = report.tids.tolist()
+
+    def by_row(column) -> dict:
+        return dict(zip(rows, column[report.tids].tolist()))
+
+    demand = report.demand_by_tid[:-1]
+    seen = (demand != math.inf).nonzero()[0]
+    return {
+        "access_rate": by_row(report.rate_by_tid),
+        "miss_rate": by_row(report.miss_by_tid),
+        "classification": by_row(np.where(report.is_m_by_tid, "M", "C").astype(object)),
+        "core_bw": dict(enumerate(report.bw_by_vcore[:-1].tolist())),
+        "high_bw_cores": frozenset(report.high_by_vcore.nonzero()[0].tolist()),
+        "fairness": report.fairness,
+        "demand_estimate": dict(zip(seen.tolist(), demand[seen].tolist())),
+    }
 
 
 def bits(value):
@@ -222,12 +236,6 @@ def columnar(counters: QuantumCounters) -> QuantumCounters:
     )
 
 
-VIEWS = (
-    "access_rate", "miss_rate", "classification", "core_bw", "high_bw_cores",
-    "demand_estimate", "cache_occupancy",
-)
-
-
 def check_lookups(report: ObserverReport, want: dict, n_vcores: int) -> None:
     """The column lookups agree with the reference dicts, ids beyond the
     columns included."""
@@ -264,26 +272,13 @@ class TestColumnarObserverEqualsReference:
             got = fast.update(columnar(counters))
             want = reference.update(counters)
             check_lookups(got, want, n_vcores)
+            fields = as_dicts(got)
             for field, expected in want.items():
-                assert bits(getattr(got, field)) == bits(expected), field
-            assert got.group_of == reference.groups
-
-    @settings(max_examples=150, deadline=None)
-    @given(scenarios())
-    def test_replaced_report_keeps_every_view(self, scenario):
-        """``dike-lms`` copies a report with ``dataclasses.replace``; the
-        copy is built from the views and derives its columns from them."""
-        config, n_vcores, groups, stream = scenario
-        fast = Observer(config, n_vcores, groups)
-        reference = ReferenceObserver(config, n_vcores, groups)
-        for counters in stream:
-            got = fast.update(columnar(counters))
-            want = reference.update(counters)
-            copy = dataclasses.replace(got)
-            assert copy == got
-            for field in VIEWS:
-                assert bits(getattr(copy, field)) == bits(want[field]), field
-            check_lookups(copy, want, n_vcores)
+                assert bits(fields[field]) == bits(expected), field
+            groups = got.group_by_tid[:-1].tolist()
+            assert {t: g for t, g in enumerate(groups) if g != NO_GROUP} == (
+                reference.groups or {}
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(scenarios())
@@ -293,13 +288,25 @@ class TestColumnarObserverEqualsReference:
         fast.bus = EventBus()
         collector = fast.bus.attach(_Collector())
         reference = ReferenceObserver(config, n_vcores, groups)
+        previous: dict = {}
         for counters in stream:
+            done = len(collector.events)
             fast.update(columnar(counters))
             want = reference.update(counters)
-            sample = [e for e in collector.events if isinstance(e, ObserverSample)][-1]
+            events = collector.events[done:]
+            (sample,) = [e for e in events if isinstance(e, ObserverSample)]
             for field in ("access_rate", "miss_rate", "classification", "core_bw"):
                 assert bits(getattr(sample, field)) == bits(want[field]), field
             assert sample.high_bw_cores == tuple(sorted(want["high_bw_cores"]))
+            # a sampled tid whose class differs from the previous sample's
+            classes = want["classification"]
+            assert [
+                (e.tid, e.old, e.new) for e in events if isinstance(e, ClassificationChanged)
+            ] == [
+                (t, previous[t], c) for t, c in classes.items()
+                if t in previous and previous[t] != c
+            ]
+            previous = classes
 
     def test_groups_are_summed_in_order_of_first_appearance(self):
         # Float addition is not associative: 1e16 + 1 + 1 differs from
@@ -335,8 +342,8 @@ class TestColumnarObserverEqualsReference:
                 core_bandwidth=np.array(bandwidth),
             )
             got, want = fast.update(counters), reference.update(counters)
-            assert bits(got.core_bw) == bits(want["core_bw"])
-        assert got.core_bw[1] == 6e6
+            assert bits(as_dicts(got)["core_bw"]) == bits(want["core_bw"])
+        assert got.core_bw_of(1) == 6e6
 
     def test_update_never_builds_samples(self):
         counters = QuantumCounters.from_columns(

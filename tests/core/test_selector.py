@@ -8,6 +8,13 @@ from hypothesis import strategies as st
 from repro.core.config import DikeConfig
 from repro.core.observer import ObserverReport
 from repro.core.selector import Selector
+from repro.schedulers.base import Placement
+
+
+def columns(placement: dict[int, int]):
+    """A placement dict as the selector's ``tids``, ``vcores`` arrays."""
+    placed = Placement.of(placement)
+    return placed.tids, placed.vcores
 
 
 def make_report(
@@ -35,14 +42,14 @@ class TestFairnessGate:
         report = make_report(
             {0: 1e6, 1: 2e6}, {0: "C", 1: "M"}, {1}, fairness=0.01
         )
-        assert selector.select(report, {0: 0, 1: 1}) == []
+        assert selector.select(report, *columns({0: 0, 1: 1})) == []
 
     def test_nan_fairness_treated_as_fair(self):
         selector = Selector(DikeConfig())
         report = make_report(
             {0: 1e6, 1: 2e6}, {0: "C", 1: "M"}, {1}, fairness=float("nan")
         )
-        assert selector.select(report, {0: 0, 1: 1}) == []
+        assert selector.select(report, *columns({0: 0, 1: 1})) == []
 
 
 class TestSameTypeBranch:
@@ -51,7 +58,7 @@ class TestSameTypeBranch:
         rates = {i: float(i + 1) * 1e6 for i in range(6)}
         classes = {i: "M" for i in range(6)}
         report = make_report(rates, classes, {0, 1, 2})
-        pairs = selector.select(report, {i: i for i in range(6)})
+        pairs = selector.select(report, *columns({i: i for i in range(6)}))
         assert len(pairs) == 2
         assert (pairs[0].t_l, pairs[0].t_h) == (0, 5)
         assert (pairs[1].t_l, pairs[1].t_h) == (1, 4)
@@ -61,7 +68,7 @@ class TestSameTypeBranch:
         rates = {i: float(i + 1) * 1e4 for i in range(4)}
         classes = {i: "C" for i in range(4)}
         report = make_report(rates, classes, set())
-        pairs = selector.select(report, {i: i for i in range(4)})
+        pairs = selector.select(report, *columns({i: i for i in range(4)}))
         assert len(pairs) == 1
         assert (pairs[0].t_l, pairs[0].t_h) == (0, 3)
 
@@ -76,7 +83,7 @@ class TestViolatorPairing:
         # thread 2 (M, highest rate) on low core 2 violates.
         report = make_report(rates, classes, {0, 1})
         placement = {0: 0, 1: 1, 2: 2, 3: 3}
-        pairs = selector.select(report, placement)
+        pairs = selector.select(report, *columns(placement))
         assert len(pairs) == 1
         assert pairs[0].t_l == 0
         assert pairs[0].t_h == 2
@@ -88,7 +95,7 @@ class TestViolatorPairing:
         classes = {0: "C", 1: "C", 2: "M", 3: "M"}
         report = make_report(rates, classes, {2, 3})
         placement = {0: 0, 1: 1, 2: 2, 3: 3}
-        assert selector.select(report, placement) == []
+        assert selector.select(report, *columns(placement)) == []
 
     def test_swap_size_limits_pairs(self):
         selector = Selector(DikeConfig(swap_size=2, rotation_fallback=False))
@@ -97,13 +104,13 @@ class TestViolatorPairing:
         # all three C threads sit on high cores, all three M on low cores
         report = make_report(rates, classes, {0, 1, 2})
         placement = {i: i for i in range(6)}
-        pairs = selector.select(report, placement)
+        pairs = selector.select(report, *columns(placement))
         assert len(pairs) == 1  # swap_size 2 -> one pair only
 
     def test_fewer_than_two_threads(self):
         selector = Selector(DikeConfig())
         report = make_report({0: 1e6}, {0: "M"}, set())
-        assert selector.select(report, {0: 0}) == []
+        assert selector.select(report, *columns({0: 0})) == []
 
 
 class TestRotationFallback:
@@ -116,7 +123,7 @@ class TestRotationFallback:
         groups = {0: 0, 1: 0, 2: 1, 3: 1}
         report = make_report(rates, classes, {2, 3}, groups=groups)
         placement = {i: i for i in range(4)}
-        pairs = selector.select(report, placement)
+        pairs = selector.select(report, *columns(placement))
         assert len(pairs) == 1
         # group 1 carries the bandwidth and is dispersed: rotate 2 <-> 3
         assert {pairs[0].t_l, pairs[0].t_h} == {2, 3}
@@ -129,7 +136,7 @@ class TestRotationFallback:
         groups = {0: 0, 1: 0, 2: 1, 3: 1}
         report = make_report(rates, classes, {2, 3}, groups=groups)
         placement = {i: i for i in range(4)}
-        pairs = selector.select(report, placement)
+        pairs = selector.select(report, *columns(placement))
         # groups internally tight: fall back to global extremes 0 <-> 3
         assert len(pairs) == 1
         assert (pairs[0].t_l, pairs[0].t_h) == (0, 3)
@@ -140,7 +147,7 @@ class TestRotationFallback:
         rates = {0: 1e6, 1: 1.1e6, 2: 2e6, 3: 2.1e6}
         classes = {i: "M" if i >= 2 else "C" for i in range(4)}
         report = make_report(rates, classes, {2, 3})
-        assert selector.select(report, {i: i for i in range(4)}) == []
+        assert selector.select(report, *columns({i: i for i in range(4)})) == []
 
 
 @st.composite
@@ -166,7 +173,7 @@ class TestSelectorProperties:
         selector = Selector(DikeConfig(swap_size=swap_size))
         report = make_report(rates, classes, high, fairness=1.0, groups=groups)
         placement = {i: i for i in rates}
-        pairs = selector.select(report, placement)
+        pairs = selector.select(report, *columns(placement))
         # never more pairs than swapSize/2
         assert len(pairs) <= swap_size // 2
         # pairs are disjoint

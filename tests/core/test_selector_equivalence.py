@@ -4,7 +4,8 @@
 ``np.lexsort`` and turns Algorithm 1's pointer scans into masks over
 that order.  ``reference_select`` below is the dict-based selection it
 replaced, kept here — as ``ReferenceObserver`` is — as the
-specification the column path is held to.  Hypothesis draws reports
+specification the column path is held to; it reads the report's
+columns back as dicts (``dict_views``).  Hypothesis draws reports
 whose rates tie (tid breaks the tie), whose threads are all one class,
 whose process groups are unfair (the rotation fallback), with placed
 threads the report never measured and vcores off the machine; it also
@@ -13,12 +14,14 @@ selects on a cluster's sub-placement, as ``dike-hier`` does.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DikeConfig
-from repro.core.observer import Observer, ObserverReport
+from repro.core.observer import NO_GROUP, Observer, ObserverReport
 from repro.core.selector import Selector, ThreadPair
 from repro.sim.counters import QuantumCounters, ThreadSample
 from repro.util.stats import coefficient_of_variation
@@ -31,25 +34,48 @@ def left_sum(values) -> float:
     return total
 
 
+def dict_views(report: ObserverReport) -> SimpleNamespace:
+    """The report's columns as per-thread dicts (a tid keyed at its
+    first row), as the Observer reported them before its columns."""
+    rows = report.tids.tolist()
+    groups = report.group_by_tid[:-1].tolist()
+    return SimpleNamespace(
+        access_rate=dict(zip(rows, report.rate_by_tid[report.tids].tolist())),
+        classification=dict(
+            zip(rows, np.where(report.is_m_by_tid[report.tids], "M", "C").tolist())
+        ),
+        high_bw_cores=frozenset(report.high_by_vcore.nonzero()[0].tolist()),
+        group_of={t: g for t, g in enumerate(groups) if g != NO_GROUP},
+    )
+
+
+def columns(placement: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.array(list(placement), dtype=np.int64),
+        np.array(list(placement.values()), dtype=np.int64),
+    )
+
+
 def reference_select(
     config: DikeConfig, report: ObserverReport, placement: dict[int, int]
 ) -> list[ThreadPair]:
     """Algorithm 1 over the report's dicts, one thread at a time."""
     if report.is_fair(config.fairness_threshold):
         return []
-    tids = [t for t in placement if t in report.access_rate]
+    views = dict_views(report)
+    tids = [t for t in placement if t in views.access_rate]
     if len(tids) < 2:
         return []
-    tids.sort(key=lambda t: (report.access_rate[t], t))
+    tids.sort(key=lambda t: (views.access_rate[t], t))
     n = len(tids)
     n_pairs = config.n_pairs
-    classes = {t: report.classification.get(t, "C") for t in tids}
+    classes = {t: views.classification.get(t, "C") for t in tids}
     if len(set(classes.values())) == 1:
         return [
             ThreadPair(t_l=tids[k], t_h=tids[n - 1 - k])
             for k in range(min(n_pairs, n // 2))
         ]
-    on_high = {t: placement[t] in report.high_bw_cores for t in tids}
+    on_high = {t: placement[t] in views.high_bw_cores for t in tids}
     k_high = sum(1 for t in tids if on_high[t])
     top_rank = {t: i >= n - k_high for i, t in enumerate(tids)}
 
@@ -73,7 +99,7 @@ def reference_select(
         head += 1
         tail -= 1
     if config.rotation_fallback and len(pairs) < n_pairs:
-        for group_tids in reference_unfair_groups(config, report, tids):
+        for group_tids in reference_unfair_groups(config, views, tids):
             if len(pairs) >= n_pairs:
                 break
             lo_t = next((t for t in group_tids if t not in paired), None)
@@ -100,13 +126,11 @@ def reference_select(
     return pairs
 
 
-def reference_unfair_groups(config, report, sorted_tids) -> list[list[int]]:
-    if report.group_of is None:
-        return []
-    rates = report.access_rate
+def reference_unfair_groups(config, views, sorted_tids) -> list[list[int]]:
+    rates = views.access_rate
     by_group: dict[int, list[int]] = {}
     for t in sorted_tids:
-        g = report.group_of.get(t)
+        g = views.group_of.get(t)
         if g is not None:
             by_group.setdefault(g, []).append(t)
     total = left_sum(rates[t] for t in sorted_tids) or 1.0
@@ -171,7 +195,7 @@ def reports(draw):
 
 @st.composite
 def placements(draw, report):
-    measured = list(report.access_rate)
+    measured = report.tids.tolist()
     placed = draw(st.lists(st.sampled_from(measured), unique=True)) if measured else []
     # live threads the Observer never measured (arrivals), ids beyond its columns
     placed += draw(st.lists(st.integers(25, 40), max_size=3, unique=True))
@@ -186,19 +210,12 @@ def scenarios(draw):
     return draw(configs()), report, draw(placements(report))
 
 
-def columns(placement: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.array(list(placement), dtype=np.int64),
-        np.array(list(placement.values()), dtype=np.int64),
-    )
-
-
 class TestColumnSelectorEqualsReference:
     @settings(max_examples=400, deadline=None)
     @given(scenarios())
     def test_same_pairs_in_the_same_order(self, scenario):
         config, report, placement = scenario
-        got = Selector(config).select(report, placement)
+        got = Selector(config).select(report, *columns(placement))
         assert got == reference_select(config, report, placement)
         assert all(type(p.t_l) is int and type(p.t_h) is int for p in got)
 
@@ -213,7 +230,7 @@ class TestColumnSelectorEqualsReference:
             else []
         )
         sub = {t: placement[t] for t in members}
-        got = Selector(config).select_columns(report, *columns(sub))
+        got = Selector(config).select(report, *columns(sub))
         assert got == reference_select(config, report, sub)
 
     def test_rate_ties_break_on_tid(self):
@@ -227,7 +244,7 @@ class TestColumnSelectorEqualsReference:
             fairness=1.0,
         )
         placement = {5: 0, 2: 0, 9: 0, 1: 0}
-        assert Selector(config).select(report, placement) == [
+        assert Selector(config).select(report, *columns(placement)) == [
             ThreadPair(1, 5), ThreadPair(9, 2)
         ]
         assert reference_select(config, report, placement) == [
@@ -245,8 +262,7 @@ def observed_report(rows, groups, n_vcores=8) -> ObserverReport:
 
 
 class TestOnObserverReports:
-    """The same equivalence on reports the Observer builds (columns first,
-    dicts as views)."""
+    """The same equivalence on reports the Observer builds."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -272,6 +288,6 @@ class TestOnObserverReports:
             groups,
         )
         placement = {tid: vcore for tid, vcore, *_ in reversed(rows)}
-        assert Selector(config).select(report, placement) == reference_select(
+        assert Selector(config).select(report, *columns(placement)) == reference_select(
             config, report, placement
         )

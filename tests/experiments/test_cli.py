@@ -381,6 +381,43 @@ class TestBadInputExitsTwo:
         err = capsys.readouterr().err
         assert "invalid choice" in err or "expected an integer >= 1" in err
 
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--timeout", "-1"], "expected a finite number > 0"),
+            (["--timeout", "0"], "expected a finite number > 0"),
+            (["--timeout", "nan"], "expected a finite number > 0"),
+            (["--timeout", "inf"], "expected a finite number > 0"),
+            (["--timeout", "soon"], "expected a finite number > 0"),
+            (["--retries", "-1"], "expected an integer >= 0"),
+        ],
+        ids=["timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf",
+             "timeout-word", "retries-negative"],
+    )
+    def test_executor_flags_rejected_when_parsed(
+        self, flags, expected, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--workloads", "wl1", "--policies", "cfs",
+                  "--scale", "0.005", "--no-cache", "--workers", "2", *flags])
+        assert exc.value.code == 2
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--population", "1"], ["--strategy", "halving", "--eta", "1"]],
+        ids=" ".join,
+    )
+    def test_tune_strategy_numbers_exit_two(self, flags, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["tune", "--budget", "2", "--workloads", "wl1",
+                     "--scale", "0.005", "--no-cache", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be >= 2" in err
+        assert "Traceback" not in err
+
     def test_timeline_policies_are_the_registry_names(self):
         from repro.policies import REGISTRY
 

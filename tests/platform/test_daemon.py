@@ -7,6 +7,7 @@ import pytest
 from repro.core.dike import DikeScheduler
 from repro.platform.daemon import SchedulingDaemon
 from repro.platform.iface import AffinityBackend, CounterWindow, PerfBackend
+from repro.schedulers.base import Placement
 from repro.schedulers.dio import DIOScheduler
 from repro.schedulers.static import StaticScheduler
 from repro.sim.topology import SocketSpec, Topology
@@ -133,6 +134,28 @@ class TestDaemonBasics:
         rates = counters.access_rates()
         assert rates[100] == pytest.approx(2e6)
         assert counters.miss_rates()[102] == pytest.approx(0.05)
+
+    def test_decide_gets_a_placement_sorted_by_tid(self, topo):
+        seen = []
+
+        class Capture(StaticScheduler):
+            def decide(self, counters, placement):
+                seen.append(placement)
+                return []
+
+        threads = {103: ("srad", 1), 100: ("jacobi", 0), 102: ("srad", 1)}
+        clock = FakeClock()
+        affinity = FakeAffinity(topo.n_vcores)
+        daemon = SchedulingDaemon(
+            Capture(), FakePerf({}), affinity, topo, threads,
+            clock=clock, sleep=clock.sleep,
+        )
+        daemon.apply_initial_placement()
+        daemon.run_quantum()
+        (placement,) = seen
+        assert isinstance(placement, Placement)
+        assert placement.tids.tolist() == [100, 102, 103]
+        assert dict(placement) == {t: min(affinity.map[t]) for t in threads}
 
 
 class TestDaemonEnforcement:

@@ -102,11 +102,12 @@ class TestObserverOnDaemonCounters:
             core_bandwidth=np.array([8e6, 0.0, 0.0, 3e6]),
         )
         report = Observer(DikeConfig(), n_vcores=4).update(counters)
-        assert report.classification == {1: "M", 2: "M"}
-        assert report.core_bw[0] == 8e6
+        assert report.tids.tolist() == [1, 2]
+        assert report.is_m_by_tid[[1, 2]].all()
+        assert report.core_bw_of(0) == 8e6
         # vcore 3 stays unprobed: it reads the optimistic best probe
-        assert report.core_bw[3] == 8e6
-        assert report.high_bw_cores == frozenset()
+        assert report.core_bw_of(3) == 8e6
+        assert not report.high_by_vcore.any()
 
 
 class TestProcStatParsing:

@@ -145,22 +145,22 @@ class TestLMSPredictor:
 
         lms = LMSRatePredictor(taps=4, mu=0.5)
         for _ in range(40):
-            lms.update({7: 100.0})
+            lms.update([7], [100.0])
         assert lms.predict(7, fallback=0.0) == pytest.approx(100.0, rel=0.05)
 
     def test_falls_back_to_persistence_before_history_fills(self):
         from repro.core.lms import LMSRatePredictor
 
         lms = LMSRatePredictor(taps=8, mu=0.5)
-        lms.update({3: 50.0})
+        lms.update([3], [50.0])
         assert lms.predict(3, fallback=50.0) == 50.0
 
     def test_prune_drops_dead_threads(self):
         from repro.core.lms import LMSRatePredictor
 
         lms = LMSRatePredictor(taps=2, mu=0.5)
-        lms.update({1: 10.0, 2: 20.0})
-        lms.prune({2})
+        lms.update([1, 2], [10.0, 20.0])
+        lms.prune(np.array([2]))
         assert 1 not in lms._history and 2 in lms._history
 
     def test_dike_lms_registered_with_full_invariants(self):
