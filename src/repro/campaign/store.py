@@ -20,12 +20,17 @@ from __future__ import annotations
 import json
 import os
 import secrets
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.experiments.serialization import (
+# The store's codec.  ``run_result_to_full_dict`` is the dict form of what
+# ``put`` writes; it stays importable from here for tools that wrap the
+# codec by these names (bench/tracing.py).
+from repro.experiments.serialization import (  # noqa: F401
     run_result_from_dict,
     run_result_to_full_dict,
+    run_result_to_full_json_chunks,
 )
 from repro.sim.results import RunResult
 
@@ -60,7 +65,7 @@ class ResultStore:
             return None
         try:
             return run_result_from_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError):
+        except (ValueError, OSError):  # JSONDecodeError is a ValueError
             return None
 
     # -------------------------------------------------------------- write
@@ -77,19 +82,16 @@ class ResultStore:
         """
         path = self._object_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        doc = run_result_to_full_dict(result)
-        info = doc.get("info")
-        if isinstance(info, dict) and isinstance(info.get("traffic"), dict):
-            traffic = dict(info["traffic"])
-            traffic.pop("baseline_cache", None)
-            doc = dict(doc)
-            doc["info"] = dict(info)
-            doc["info"]["traffic"] = traffic
-        payload = json.dumps(doc, sort_keys=True, allow_nan=False)
+        traffic = result.info.get("traffic")
+        if isinstance(traffic, dict) and "baseline_cache" in traffic:
+            traffic = {k: v for k, v in traffic.items() if k != "baseline_cache"}
+            result = replace(result, info={**result.info, "traffic": traffic})
+        size = 0
         fd, tmp = _create_tmp(path)
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
+                for chunk in run_result_to_full_json_chunks(result):
+                    size += fh.write(chunk)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -100,7 +102,7 @@ class ResultStore:
             "policy": result.policy_name,
             "seed": result.seed,
             "n_quanta": result.n_quanta,
-            "bytes": len(payload),
+            "bytes": size,
         }
         if task is not None:
             entry["label"] = task.label()

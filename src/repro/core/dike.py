@@ -30,7 +30,7 @@ from repro.core.decider import Decider
 from repro.core.migrator import Migrator
 from repro.core.observer import Observer
 from repro.core.optimizer import Optimizer
-from repro.core.predictor import PairPrediction, Predictor
+from repro.core.predictor import PairPrediction, Predictor, pair_vcores
 from repro.core.selector import Selector
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.pipeline import Stage, StagePipeline, StageState
@@ -79,8 +79,11 @@ class OptimizerStage(Stage):
         if new_cfg is not pipeline.config:
             pipeline._set_config(new_cfg, state.counters.quantum_index)
         # Finished threads drop out of `placement`; forget their cooldowns.
-        for tid in pipeline.decider._last_swap.keys() - state.placement.keys():
-            pipeline.decider.forget_thread(tid)
+        books = pipeline.decider._last_swap
+        if books:
+            tids = np.fromiter(books, np.int64, len(books))
+            for tid in tids[~state.placement.holds(tids)].tolist():
+                pipeline.decider.forget_thread(tid)
 
 
 class SelectorStage(Stage):
@@ -282,11 +285,10 @@ class DikeScheduler(StagePipeline):
         measured = rates > 0.0
         self._pend(tids[measured], rates[measured], counters)
         moved: dict[int, float] = {}
-        for pred in state.accepted:
-            for tid, dest in (
-                (pred.pair.t_l, placement[pred.pair.t_h]),
-                (pred.pair.t_h, placement[pred.pair.t_l]),
-            ):
+        accepted = state.accepted
+        ends = pair_vcores([pred.pair for pred in accepted], placement)
+        for pred, (vcore_l, vcore_h) in zip(accepted, ends):
+            for tid, dest in ((pred.pair.t_l, vcore_h), (pred.pair.t_h, vcore_l)):
                 predicted = min(report.core_bw_of(dest), report.demand_of(tid))
                 if predicted == predicted:  # not NaN
                     moved[tid] = max(predicted - self.predictor.overhead(predicted), 0.0)

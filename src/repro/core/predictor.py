@@ -33,14 +33,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.config import DikeConfig
 from repro.core.observer import ObserverReport
 from repro.core.selector import ThreadPair
 from repro.obs.events import NULL_BUS, ProfitEvaluated
+from repro.schedulers.base import Placement
 
-__all__ = ["PairPrediction", "Predictor"]
+__all__ = ["PairPrediction", "Predictor", "pair_vcores"]
+
+
+def pair_vcores(
+    pairs: Sequence[ThreadPair], placement: Mapping[int, int]
+) -> list[tuple[int, int]]:
+    """``(placement[t_l], placement[t_h])`` of each pair, from one search
+    of the placement's tids (``KeyError`` if a member is not placed)."""
+    if not pairs:
+        return []
+    ends = [t for pair in pairs for t in (pair.t_l, pair.t_h)]
+    vcores = Placement.of(placement).vcores_of(ends)
+    return list(zip(vcores[::2], vcores[1::2]))
 
 
 @dataclass(frozen=True)
@@ -93,11 +106,11 @@ class Predictor:
     ) -> list[PairPrediction]:
         """Estimate profits for each pair (order preserved)."""
         out: list[PairPrediction] = []
-        for pair in pairs:
+        for pair, (vcore_l, vcore_h) in zip(pairs, pair_vcores(pairs, placement)):
             rate_l = report.rate_of(pair.t_l)
             rate_h = report.rate_of(pair.t_h)
-            bw_of_core_h = report.core_bw_of(placement[pair.t_h])
-            bw_of_core_l = report.core_bw_of(placement[pair.t_l])
+            bw_of_core_h = report.core_bw_of(vcore_h)
+            bw_of_core_l = report.core_bw_of(vcore_l)
             # An unprobed machine (nan CoreBW) predicts no change: the
             # closed loop has no evidence yet, so profit degenerates to the
             # overhead penalty and the decider will skip the pair.

@@ -147,7 +147,8 @@ class Placement(Mapping[int, int]):
     A read-only mapping over the columns that builds no dict: iteration,
     ``len``, ``keys``, ``values`` and ``items`` read them, and
     ``placement[tid]`` and ``tid in placement`` search ``tids``.  Array
-    code takes the columns as they are; dict code keeps working.
+    code takes the columns as they are, and looks up many tids with one
+    search (:meth:`holds`, :meth:`vcores_of`); dict code keeps working.
     """
 
     __slots__ = ("tids", "vcores")
@@ -175,6 +176,23 @@ class Placement(Mapping[int, int]):
         if i < tids.size and tids[i] == tid:
             return self.vcores.item(i)
         raise KeyError(tid)
+
+    def holds(self, tids: np.ndarray) -> np.ndarray:
+        """Whether each of ``tids`` is placed, from one search of ``tids``."""
+        if not self.tids.size:
+            return np.zeros(len(tids), dtype=bool)
+        return self.tids.take(self.tids.searchsorted(tids), mode="clip") == tids
+
+    def vcores_of(self, tids: list[int]) -> list[int]:
+        """``[placement[tid] for tid in tids]`` from one search of
+        ``tids``; ``KeyError`` names the first tid that is not placed."""
+        if tids and not self.tids.size:
+            raise KeyError(tids[0])
+        rows = self.tids.searchsorted(tids)
+        found = self.tids.take(rows, mode="clip").tolist()
+        if found != tids:
+            raise KeyError(next(t for t, f in zip(tids, found) if t != f))
+        return self.vcores.take(rows).tolist()
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.tids.tolist())

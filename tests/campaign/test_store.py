@@ -13,11 +13,15 @@ import multiprocessing
 import os
 import stat
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import pytest
 
 from repro.campaign.store import ResultStore
-from repro.experiments.serialization import run_result_to_full_json
+from repro.experiments.serialization import (
+    run_result_to_full_dict,
+    run_result_to_full_json,
+)
 from repro.sim.results import BenchmarkResult, PredictionRecord, RunResult
 
 KEY = "ab" + "0" * 62
@@ -130,6 +134,85 @@ class TestConcurrentWriters:
             small_result()
         )
         assert len(store.index_path.read_text().splitlines()) == workers * puts
+
+
+class TestWrittenText:
+    def test_artifact_is_the_standard_librarys_text_without_baseline_cache(self, tmp_path):
+        traffic = {"n_jobs": 3, "latency_p50_s": 1.5, "baseline_cache": {"hits": 1, "misses": 2}}
+        result = replace(small_result(), info={"policy": "dike", "traffic": traffic})
+        store = ResultStore(tmp_path)
+        path = store.put(KEY, result)
+        assert result.info["traffic"] is traffic and "baseline_cache" in traffic
+        doc = run_result_to_full_dict(result)
+        doc["info"]["traffic"] = {k: v for k, v in traffic.items() if k != "baseline_cache"}
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+        assert path.read_text() == text
+        (entry,) = [json.loads(line) for line in store.index_path.read_text().splitlines()]
+        assert entry["bytes"] == len(text.encode()) == path.stat().st_size
+
+
+class _FailsAfterFirstWrite:
+    """A file whose second ``write`` fails, once the first chunk is in."""
+
+    def __init__(self, fh, store: ResultStore) -> None:
+        self.fh, self.store, self.writes = fh, store, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes > 1:
+            self.fh.flush()
+            (tmp,) = self.store.objects.rglob("*.tmp")
+            assert tmp.stat().st_size > 0  # torn: part of the text is on disk
+            raise OSError("disk full")
+        return self.fh.write(text)
+
+
+class TestTornWrites:
+    """A put that fails part-way leaves the key's previous artifact
+    byte for byte, no tmp file and no index line."""
+
+    @pytest.fixture
+    def store(self, tmp_path) -> ResultStore:
+        store = ResultStore(tmp_path)
+        store.put(KEY, small_result())
+        return store
+
+    def unchanged(self, store: ResultStore, artifact: bytes, index: str) -> bool:
+        return (
+            store._object_path(KEY).read_bytes() == artifact
+            and leftovers(store) == []
+            and store.index_path.read_text() == index
+        )
+
+    def test_write_failing_after_the_first_chunk(self, store, monkeypatch):
+        artifact = store._object_path(KEY).read_bytes()
+        index = store.index_path.read_text()
+        real_fdopen = os.fdopen
+        files = []
+
+        def fdopen(fd, mode):
+            files.append(_FailsAfterFirstWrite(real_fdopen(fd, mode), store))
+            return files[-1]
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        with pytest.raises(OSError, match="disk full"):
+            store.put(KEY, replace(small_result(), seed=4))
+        assert files[0].writes == 2
+        assert self.unchanged(store, artifact, index)
+
+    def test_encoder_error_from_a_non_finite_info_value(self, store):
+        artifact = store._object_path(KEY).read_bytes()
+        index = store.index_path.read_text()
+        bad = replace(small_result(), info={"policy": "dike", "score": float("nan")})
+        with pytest.raises(ValueError, match="Out of range float"):
+            store.put(KEY, bad)
+        assert self.unchanged(store, artifact, index)
 
 
 class TestArtifactMode:

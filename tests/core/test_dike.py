@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import pytest
 
 from repro.core.config import AdaptationGoal, DikeConfig
-from repro.core.dike import DikeScheduler
+from repro.core.decider import Decider
+from repro.core.dike import DikeScheduler, OptimizerStage
+from repro.schedulers import Placement
+from repro.schedulers.pipeline import StageState
 from repro.policies import REGISTRY
 from repro.metrics.fairness import fairness
 from repro.schedulers.cfs import CFSScheduler
@@ -118,3 +122,32 @@ class TestHighFairnessThresholdDisablesScheduling:
         sched = DikeScheduler(DikeConfig(fairness_threshold=9.9))
         result = quick_run(small_workload, sched, paper_topology, work_scale=0.01)
         assert result.swap_count == 0
+
+
+class _OptimizerPipeline:
+    """What the Optimizer stage reads of its pipeline, with a fixed config."""
+
+    def __init__(self) -> None:
+        self.config = DikeConfig()
+        self.decider = Decider(self.config)
+        self.optimizer = self
+
+    def maybe_update(self, report) -> DikeConfig:
+        return self.config
+
+    def stage_timer(self, stage):
+        return contextlib.nullcontext()
+
+
+class TestOptimizerStageCooldowns:
+    @pytest.mark.parametrize(
+        "placed, kept",
+        [({1: 0, 3: 2, 5: 4}, {1, 3}), ({}, set()), ({7: 1, 2: 0, 3: 3, 1: 5}, {1, 2, 3, 7})],
+    )
+    def test_forgets_threads_that_left_the_placement(self, placed, kept):
+        pipeline = _OptimizerPipeline()
+        books = {tid: (tid, 0.5 * tid) for tid in (1, 2, 3, 7)}
+        pipeline.decider._last_swap.update(books)
+        state = StageState(counters=None, placement=Placement.of(placed))
+        OptimizerStage().run(pipeline, state)
+        assert pipeline.decider._last_swap == {t: books[t] for t in kept}

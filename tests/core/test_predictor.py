@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import DikeConfig
-from repro.core.predictor import PairPrediction, Predictor
+from repro.core.predictor import PairPrediction, Predictor, pair_vcores
 from repro.core.selector import ThreadPair
 
 
@@ -35,6 +35,18 @@ class TestOverhead:
         short = Predictor(DikeConfig(quanta_length_s=0.1))
         long = Predictor(DikeConfig(quanta_length_s=1.0))
         assert short.overhead(1e6) > long.overhead(1e6)
+
+
+class TestPlacementLookup:
+    def test_member_that_is_not_placed_raises_key_error(self):
+        report = report_for({0: 1e5, 1: 2e6}, {0: "C", 1: "M"}, core_bw={0: 1e6}, high={0})
+        with pytest.raises(KeyError, match="^1$"):
+            Predictor(DikeConfig()).predict([ThreadPair(0, 1)], report, {0: 0, 2: 1})
+
+    def test_pair_vcores_reads_each_member(self):
+        pairs = [ThreadPair(t_l=5, t_h=2), ThreadPair(t_l=9, t_h=5)]
+        assert pair_vcores(pairs, {2: 7, 5: 3, 9: 0}) == [(3, 7), (0, 3)]
+        assert pair_vcores([], {}) == []
 
 
 class TestProfit:

@@ -77,6 +77,14 @@ class TestMapping:
         for tid in probes:
             assert (tid in placement) == (tid in want)
             assert placement.get(tid) == want.get(tid)
+        held = placement.holds(np.array(probes, dtype=np.int64))
+        assert held.tolist() == [t in want for t in probes]
+        if all(t in want for t in probes):
+            assert placement.vcores_of(probes) == [want[t] for t in probes]
+        else:
+            first = next(t for t in probes if t not in want)
+            with pytest.raises(KeyError, match=f"^{first}$"):
+                placement.vcores_of(probes)
 
 
 #: the LLC backend of a policy's run (the cache-aware two need one)
