@@ -214,9 +214,6 @@ def _log_chunks(log: PredictionLog) -> Iterator[str]:
     columns share another.  A column's cells are references into its
     table, so no column becomes Python numbers.
     """
-    if not len(log):
-        yield _EMPTY_LOG
-        return
     columns = dict(zip(PredictionLog.COLUMNS, log.columns()))
     cells: dict[str, np.ndarray] = {}
     for kind in "fi":
@@ -238,9 +235,6 @@ def _log_chunks(log: PredictionLog) -> Iterator[str]:
         yield "]"
         sep = ", "
     yield "}"
-
-
-_EMPTY_LOG = "{" + ", ".join(f'"{name}": []' for name in sorted(PredictionLog.COLUMNS)) + "}"
 
 
 def run_result_to_full_json_chunks(result: RunResult) -> Iterator[str]:
